@@ -259,8 +259,9 @@ func BenchmarkTernGradCompress(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMul measures the tensor substrate's core kernel (now
-// cache-blocked over the reduction dimension).
+// BenchmarkMatMul measures the tensor substrate's core kernel at a square
+// shape (internal/tensor's BenchmarkMatMulKernels covers the shapes the
+// trainer runs, per kernel, in ns per multiply-add).
 func BenchmarkMatMul(b *testing.B) {
 	x := benchMatrix(256, 256)
 	y := benchMatrix(256, 256)

@@ -36,6 +36,16 @@
 // momentum, iteration/sampling position, and every error-feedback
 // residual and PowerSGD warm-start factor.
 //
+// The compute under all of it is three matmul kernels (internal/tensor:
+// MatMulInto, MatMulATInto, MatMulBTInto) bound by one per-output-element
+// contract — terms added in ascending k from +0, each product rounded on
+// its own, the axpy forms skipping a zero a operand — which lets them
+// block for registers while staying bit-identical to the reference triple
+// loops kept in the tests. internal/model's layers compute each
+// micro-batch out of a free list their pipeline stage owns (one goroutine
+// drives a stage, so no lock): only the matrices that leave a stage are
+// allocated, and a matrix handed to a stage is only ever borrowed.
+//
 // TopK/RandomK payloads are sparse end to end: internal/tensor's COO
 // Sparse type and kernels (gather, scatter-add, two-pointer merge-union)
 // carry compress → reduce → decompress without materializing a dense

@@ -64,7 +64,9 @@ type SocketTransport struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 	failOnce  sync.Once
-	failErr   error
+	// failErr is the first transport failure. A reader or writer goroutine
+	// stores it; Err loads it from whichever goroutine is asking.
+	failErr atomic.Pointer[error]
 }
 
 // SocketConfig describes one rank's view of a socket grid.
@@ -408,7 +410,7 @@ func (t *SocketTransport) fail(err error) {
 	default:
 	}
 	t.failOnce.Do(func() {
-		t.failErr = err
+		t.failErr.Store(&err)
 		for c := range t.mbox {
 			for k := range t.mbox[c] {
 				for _, b := range t.mbox[c][k] {
@@ -563,12 +565,8 @@ func (t *SocketTransport) Stats() Stats {
 // Err returns the first transport failure (nil while healthy) — the
 // error blocked receivers panic with.
 func (t *SocketTransport) Err() error {
-	select {
-	case <-t.done:
-	default:
-	}
-	if t.failErr != nil {
-		return t.failErr
+	if p := t.failErr.Load(); p != nil {
+		return *p
 	}
 	return nil
 }

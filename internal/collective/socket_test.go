@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -333,6 +334,34 @@ func TestSocketCloseIdempotent(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("Close hung")
+	}
+}
+
+// TestSocketErrWhileStreamFails polls Err from the test goroutine while a
+// reader goroutine records the failure of a stream cut in mid-run — the
+// two sides of the failure field, which -race requires to be ordered.
+func TestSocketErrWhileStreamFails(t *testing.T) {
+	trs := newSocketGrid(t, "unix", 2)
+	trs[1].Send(ClassDP, 1, 0, Msg{Bytes: 10})
+	if got := trs[0].Recv(ClassDP, 0, 1); got.Bytes != 10 {
+		t.Fatalf("bytes %d", got.Bytes)
+	}
+	if err := trs[0].Err(); err != nil {
+		t.Fatalf("healthy transport reports %v", err)
+	}
+	// Close rank 0's accepted streams under its readers: not a clean EOF
+	// at a frame boundary, so the reader must report it.
+	trs[0].inMu.Lock()
+	for _, c := range trs[0].inConns {
+		c.Close()
+	}
+	trs[0].inMu.Unlock()
+	deadline := time.Now().Add(30 * time.Second)
+	for trs[0].Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("stream failure never surfaced through Err")
+		}
+		runtime.Gosched()
 	}
 }
 

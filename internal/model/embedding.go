@@ -16,10 +16,11 @@ type Embedding struct {
 	GW *tensor.Matrix
 	// ctxQueue holds the token contexts of in-flight micro-batches for the
 	// input-side backward (scatter-add of gradients).
-	ctxQueue [][][]int
+	ctxQueue fifo[[][]int]
 	// hQueue holds the hidden states of in-flight micro-batches for the
 	// output-side backward.
-	hQueue []*tensor.Matrix
+	hQueue fifo[*tensor.Matrix]
+	scr    *scratch
 }
 
 // NewEmbedding returns a V×H table with N(0, 0.02²) initialization (the
@@ -46,7 +47,7 @@ func (e *Embedding) Hidden() int { return e.W.Cols }
 
 // LookupConcat embeds a batch of contexts (each a slice of C token ids)
 // into a B×(C·H) matrix by concatenating the C embeddings, and enqueues the
-// contexts for the input-side backward.
+// contexts for the input-side backward. The caller owns the result.
 func (e *Embedding) LookupConcat(contexts [][]int) *tensor.Matrix {
 	b := len(contexts)
 	if b == 0 {
@@ -54,7 +55,7 @@ func (e *Embedding) LookupConcat(contexts [][]int) *tensor.Matrix {
 	}
 	c := len(contexts[0])
 	h := e.Hidden()
-	out := tensor.New(b, c*h)
+	out := e.scr.get(b, c*h) // every row is C copied segments of H
 	for i, ctx := range contexts {
 		if len(ctx) != c {
 			panic("model: ragged context batch")
@@ -64,18 +65,17 @@ func (e *Embedding) LookupConcat(contexts [][]int) *tensor.Matrix {
 			copy(row[p*h:(p+1)*h], e.W.Row(tok))
 		}
 	}
-	e.ctxQueue = append(e.ctxQueue, contexts)
+	e.ctxQueue.push(contexts)
 	return out
 }
 
 // BackwardLookup scatter-adds dOut (B×(C·H)) into the embedding gradient
 // for the oldest in-flight context batch.
 func (e *Embedding) BackwardLookup(dOut *tensor.Matrix) {
-	if len(e.ctxQueue) == 0 {
+	if e.ctxQueue.len() == 0 {
 		panic("model: BackwardLookup with no in-flight lookup")
 	}
-	contexts := e.ctxQueue[0]
-	e.ctxQueue = e.ctxQueue[1:]
+	contexts := e.ctxQueue.pop()
 	h := e.Hidden()
 	for i, ctx := range contexts {
 		row := dOut.Row(i)
@@ -90,27 +90,29 @@ func (e *Embedding) BackwardLookup(dOut *tensor.Matrix) {
 }
 
 // ProjectLogits computes logits = h·Wᵀ (B×V) using the tied table, and
-// enqueues h for the output-side backward.
+// enqueues h for the output-side backward: h is borrowed until the
+// matching BackwardLogits has returned. The caller owns the logits.
 func (e *Embedding) ProjectLogits(h *tensor.Matrix) *tensor.Matrix {
-	logits := tensor.New(h.Rows, e.Vocab())
+	logits := e.scr.get(h.Rows, e.Vocab())
 	tensor.MatMulBTInto(logits, h, e.W)
-	e.hQueue = append(e.hQueue, h)
+	e.hQueue.push(h)
 	return logits
 }
 
 // BackwardLogits accumulates the tied-table gradient from dLogits (B×V)
-// and returns dh (B×H) for the oldest in-flight projection.
+// and returns dh (B×H, owned by the caller) for the oldest in-flight
+// projection.
 func (e *Embedding) BackwardLogits(dLogits *tensor.Matrix) *tensor.Matrix {
-	if len(e.hQueue) == 0 {
+	if e.hQueue.len() == 0 {
 		panic("model: BackwardLogits with no in-flight projection")
 	}
-	h := e.hQueue[0]
-	e.hQueue = e.hQueue[1:]
+	h := e.hQueue.pop()
 	// dW = dLogitsᵀ·h  (V×H); dh = dLogits·W (B×H).
-	gw := tensor.New(e.Vocab(), e.Hidden())
+	gw := e.scr.get(e.Vocab(), e.Hidden())
 	tensor.MatMulATInto(gw, dLogits, h)
 	e.GW.Add(gw)
-	dh := tensor.New(h.Rows, h.Cols)
+	e.scr.put(gw)
+	dh := e.scr.get(h.Rows, h.Cols)
 	tensor.MatMulInto(dh, dLogits, e.W)
 	return dh
 }

@@ -12,7 +12,9 @@
 // Because the 1F1B schedule keeps several micro-batches in flight per
 // stage, every layer stores its forward activations in a FIFO queue;
 // Backward consumes them in micro-batch order, exactly as pipeline
-// frameworks stash per-micro-batch activation state.
+// frameworks stash per-micro-batch activation state. The matrices behind
+// that state, and every other intermediate of a micro-batch, come from a
+// free list the stage owns (scratch.go) rather than from the allocator.
 package model
 
 import (
@@ -27,7 +29,8 @@ import (
 type Linear struct {
 	W, B   *tensor.Matrix // W: in×out, B: 1×out
 	GW, GB *tensor.Matrix // gradients, accumulated across micro-batches
-	xQueue []*tensor.Matrix
+	xQueue fifo[*tensor.Matrix]
+	scr    *scratch
 }
 
 // NewLinear returns a Xavier-initialized in×out layer.
@@ -40,10 +43,12 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 	}
 }
 
-// Forward computes y = x·W + b and enqueues x for Backward.
+// Forward computes y = x·W + b and enqueues x for Backward. x is borrowed
+// until the matching Backward has returned; the caller owns y.
 func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
-	l.xQueue = append(l.xQueue, x)
-	y := tensor.MatMul(x, l.W)
+	l.xQueue.push(x)
+	y := l.scr.get(x.Rows, l.W.Cols)
+	tensor.MatMulInto(y, x, l.W)
 	for i := 0; i < y.Rows; i++ {
 		row := y.Row(i)
 		for j := range row {
@@ -54,34 +59,36 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // Backward accumulates parameter gradients from dy (for the oldest
-// in-flight micro-batch) and returns dx.
+// in-flight micro-batch) and returns dx, which the caller owns.
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if len(l.xQueue) == 0 {
+	if l.xQueue.len() == 0 {
 		panic("model: Linear.Backward with no in-flight forward")
 	}
-	x := l.xQueue[0]
-	l.xQueue = l.xQueue[1:]
-	gw := tensor.New(l.W.Rows, l.W.Cols)
+	x := l.xQueue.pop()
+	// gw is a product of its own, added into GW afterwards: accumulating
+	// xᵀ·dy straight into GW would sum each element in a different order.
+	gw := l.scr.get(l.W.Rows, l.W.Cols)
 	tensor.MatMulATInto(gw, x, dy)
 	l.GW.Add(gw)
+	l.scr.put(gw)
 	for i := 0; i < dy.Rows; i++ {
 		row := dy.Row(i)
 		for j := range row {
 			l.GB.Data[j] += row[j]
 		}
 	}
-	dx := tensor.New(x.Rows, x.Cols)
+	dx := l.scr.get(x.Rows, x.Cols)
 	tensor.MatMulBTInto(dx, dy, l.W)
 	return dx
 }
 
 // InFlight reports the number of queued forward activations.
-func (l *Linear) InFlight() int { return len(l.xQueue) }
+func (l *Linear) InFlight() int { return l.xQueue.len() }
 
 // lnCache is the per-micro-batch forward state of a LayerNorm.
 type lnCache struct {
 	xHat   *tensor.Matrix
-	invStd []float64
+	invStd *tensor.Matrix // 1×rows
 }
 
 // LayerNorm normalizes each row to zero mean and unit variance, then
@@ -90,7 +97,8 @@ type lnCache struct {
 type LayerNorm struct {
 	Gain, Bias   *tensor.Matrix // 1×dim
 	GGain, GBias *tensor.Matrix
-	queue        []lnCache
+	queue        fifo[lnCache]
+	scr          *scratch
 }
 
 const lnEps = 1e-5
@@ -107,10 +115,11 @@ func NewLayerNorm(dim int) *LayerNorm {
 	return ln
 }
 
-// Forward normalizes each row of x.
+// Forward normalizes each row of x. x is not retained; the caller owns
+// the result.
 func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
-	y := tensor.New(x.Rows, x.Cols)
-	c := lnCache{xHat: tensor.New(x.Rows, x.Cols), invStd: make([]float64, x.Rows)}
+	y := ln.scr.get(x.Rows, x.Cols)
+	c := lnCache{xHat: ln.scr.get(x.Rows, x.Cols), invStd: ln.scr.get(1, x.Rows)}
 	d := float64(x.Cols)
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
@@ -122,7 +131,7 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 		}
 		va /= d
 		inv := 1 / math.Sqrt(va+lnEps)
-		c.invStd[i] = inv
+		c.invStd.Data[i] = inv
 		xh := c.xHat.Row(i)
 		yr := y.Row(i)
 		for j, v := range row {
@@ -131,21 +140,21 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 			yr[j] = h*ln.Gain.Data[j] + ln.Bias.Data[j]
 		}
 	}
-	ln.queue = append(ln.queue, c)
+	ln.queue.push(c)
 	return y
 }
 
-// Backward accumulates gain/bias gradients and returns dx using the
-// standard layer-norm backward formula.
+// Backward accumulates gain/bias gradients and returns dx (owned by the
+// caller) using the standard layer-norm backward formula.
 func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if len(ln.queue) == 0 {
+	if ln.queue.len() == 0 {
 		panic("model: LayerNorm.Backward with no in-flight forward")
 	}
-	c := ln.queue[0]
-	ln.queue = ln.queue[1:]
-	dx := tensor.New(dy.Rows, dy.Cols)
+	c := ln.queue.pop()
+	dx := ln.scr.get(dy.Rows, dy.Cols)
 	d := float64(dy.Cols)
-	dxh := make([]float64, dy.Cols)
+	dxhRow := ln.scr.get(1, dy.Cols)
+	dxh := dxhRow.Data
 	for i := 0; i < dy.Rows; i++ {
 		dyr := dy.Row(i)
 		xh := c.xHat.Row(i)
@@ -158,22 +167,32 @@ func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
 			sumDxh += v
 			sumDxhXh += v * xh[j]
 		}
-		inv := c.invStd[i]
+		inv := c.invStd.Data[i]
 		dxr := dx.Row(i)
 		for j := range dxr {
 			dxr[j] = inv / d * (d*dxh[j] - sumDxh - xh[j]*sumDxhXh)
 		}
 	}
+	ln.scr.put(dxhRow)
+	ln.scr.put(c.xHat)
+	ln.scr.put(c.invStd)
 	return dx
+}
+
+// blockCache is the per-micro-batch forward state of a Block: the GELU
+// input and the tanh the activation took of it.
+type blockCache struct {
+	pre, tanh *tensor.Matrix
 }
 
 // Block is one residual unit: y = x + GELU(LayerNorm(x·W + b)).
 // Residual connections keep deep pipelines trainable; the block's dense
 // H×H weight is the unit of data-parallel gradient compression.
 type Block struct {
-	Lin      *Linear
-	LN       *LayerNorm
-	preQueue []*tensor.Matrix // LN outputs before GELU, per micro-batch
+	Lin   *Linear
+	LN    *LayerNorm
+	queue fifo[blockCache]
+	scr   *scratch
 }
 
 // NewBlock returns a residual block over hidden dim h.
@@ -181,28 +200,48 @@ func NewBlock(rng *rand.Rand, h int) *Block {
 	return &Block{Lin: NewLinear(rng, h, h), LN: NewLayerNorm(h)}
 }
 
-// Forward runs the block.
+// setScratch points the block and its layers at a stage's free list.
+func (b *Block) setScratch(scr *scratch) {
+	b.scr, b.Lin.scr, b.LN.scr = scr, scr, scr
+}
+
+// Forward runs the block. x is borrowed until the matching Backward has
+// returned; the caller owns the result.
 func (b *Block) Forward(x *tensor.Matrix) *tensor.Matrix {
 	z := b.Lin.Forward(x)
 	n := b.LN.Forward(z)
-	b.preQueue = append(b.preQueue, n.Clone())
-	act := tensor.GELU(n)
-	return x.Clone().Add(act)
+	b.scr.put(z)
+	c := blockCache{pre: n, tanh: b.scr.get(n.Rows, n.Cols)}
+	out := b.scr.get(x.Rows, x.Cols)
+	for i, v := range n.Data {
+		t := tensor.GELUTanh(v)
+		c.tanh.Data[i] = t
+		// The activation is rounded on its own before the residual add, as
+		// when it was stored and added in a second pass.
+		out.Data[i] = x.Data[i] + float64(0.5*v*(1+t))
+	}
+	b.queue.push(c)
+	return out
 }
 
-// Backward runs the block's backward pass and returns dx.
+// Backward runs the block's backward pass and returns dx, which the
+// caller owns. The GELU derivative comes from the tanh Forward stashed, so
+// backward makes no libm call.
 func (b *Block) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if len(b.preQueue) == 0 {
+	if b.queue.len() == 0 {
 		panic("model: Block.Backward with no in-flight forward")
 	}
-	pre := b.preQueue[0]
-	b.preQueue = b.preQueue[1:]
-	dAct := tensor.New(dy.Rows, dy.Cols)
-	for i, v := range pre.Data {
-		dAct.Data[i] = dy.Data[i] * tensor.GELUGrad(v)
+	c := b.queue.pop()
+	dAct := b.scr.get(dy.Rows, dy.Cols)
+	for i, v := range c.pre.Data {
+		dAct.Data[i] = dy.Data[i] * tensor.GELUGradFromTanh(v, c.tanh.Data[i])
 	}
+	b.scr.put(c.pre)
+	b.scr.put(c.tanh)
 	dz := b.LN.Backward(dAct)
+	b.scr.put(dAct)
 	dx := b.Lin.Backward(dz)
+	b.scr.put(dz)
 	return dx.Add(dy) // residual path
 }
 

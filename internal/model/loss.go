@@ -50,28 +50,43 @@ func NewSGD(lr, momentum, clip float64) *SGD {
 }
 
 // Step applies one update: p ← p − lr·v where v ← μ·v + g. The gradient
-// matrices are not modified.
+// matrices are not modified: clipping, the momentum update and the
+// parameter update are applied element by element in one pass (the same
+// operations, each rounded on its own, as clipping a copy of g and then
+// scaling, adding and axpy-ing whole matrices).
 func (o *SGD) Step(params, grads []*tensor.Matrix) {
 	if len(params) != len(grads) {
 		panic("model: SGD params/grads length mismatch")
 	}
+	clip, mu, s := o.Clip, o.Momentum, -o.LR
 	for i, p := range params {
 		g := grads[i]
-		eff := g
-		if o.Clip > 0 {
-			eff = g.Clone()
-			tensor.ClipInPlace(eff, o.Clip)
-		}
-		if o.Momentum > 0 {
+		var vel []float64
+		if mu > 0 {
 			v := o.velocity[p]
 			if v == nil {
 				v = tensor.New(g.Rows, g.Cols)
 				o.velocity[p] = v
 			}
-			v.Scale(o.Momentum).Add(eff)
-			eff = v
+			vel = v.Data
 		}
-		p.AddScaled(-o.LR, eff)
+		if len(p.Data) != len(g.Data) {
+			panic("model: SGD param/grad shape mismatch")
+		}
+		for j, e := range g.Data {
+			if clip > 0 {
+				if e > clip {
+					e = clip
+				} else if e < -clip {
+					e = -clip
+				}
+			}
+			if vel != nil {
+				e = float64(vel[j]*mu) + e
+				vel[j] = e
+			}
+			p.Data[j] += float64(s * e)
+		}
 	}
 }
 

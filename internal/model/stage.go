@@ -47,6 +47,12 @@ func (c Config) ParamCount() int64 {
 // tied-embedding output head. With a single stage, both live together and
 // no embedding sync is needed — exactly the paper's observation that the
 // sync only exists because pipeline parallelism splits the replicas.
+//
+// A stage is driven by one goroutine at a time and computes out of a free
+// list of its own (scratch.go). What crosses its methods is ordinary heap
+// memory with the usual ownership: a matrix passed in is only borrowed —
+// read, possibly until the matching backward call, never recycled — and a
+// matrix returned belongs to the caller.
 type Stage struct {
 	Index, Total int
 
@@ -55,6 +61,8 @@ type Stage struct {
 	Blocks []*Block
 	OutEmb *Embedding // tied output head replica (last stage) — nil otherwise
 	OutLN  *LayerNorm // final norm before the head (last stage) — nil otherwise
+
+	scr *scratch
 }
 
 // IsFirst reports whether this is pipeline stage 0.
@@ -92,11 +100,15 @@ func NewStages(cfg Config, numStages int) ([]*Stage, error) {
 		if s < extra {
 			n++
 		}
-		st := &Stage{Index: s, Total: numStages, Blocks: blocks[next : next+n]}
+		st := &Stage{Index: s, Total: numStages, Blocks: blocks[next : next+n], scr: &scratch{}}
 		next += n
+		for _, b := range st.Blocks {
+			b.setScratch(st.scr)
+		}
 		if st.IsFirst() {
 			st.Emb = emb
 			st.InProj = inProj
+			st.Emb.scr, st.InProj.scr = st.scr, st.scr
 		}
 		if st.IsLast() {
 			st.OutLN = outLN
@@ -105,6 +117,7 @@ func NewStages(cfg Config, numStages int) ([]*Stage, error) {
 			} else {
 				st.OutEmb = emb.Clone()
 			}
+			st.OutLN.scr, st.OutEmb.scr = st.scr, st.scr
 		}
 		stages[s] = st
 	}
@@ -118,20 +131,23 @@ func (s *Stage) ForwardTokens(contexts [][]int) *tensor.Matrix {
 		panic("model: ForwardTokens on non-first stage")
 	}
 	x := s.Emb.LookupConcat(contexts)
-	h := s.InProj.Forward(x)
-	for _, b := range s.Blocks {
-		h = b.Forward(h)
-	}
-	return h
+	return s.forwardBlocks(s.InProj.Forward(x))
 }
 
 // ForwardHidden runs a middle or last stage on the activation received
-// from upstream. For the last stage the result is the pre-head hidden
+// from upstream, which stays borrowed until the matching backward call
+// has returned. For the last stage the result is the pre-head hidden
 // state; call Logits to finish.
 func (s *Stage) ForwardHidden(h *tensor.Matrix) *tensor.Matrix {
 	if s.IsFirst() {
 		panic("model: ForwardHidden on first stage (use ForwardTokens)")
 	}
+	return s.forwardBlocks(h)
+}
+
+// forwardBlocks chains the stage's blocks. Each block borrows its input
+// until its backward; backwardBlocks recycles the ones this stage made.
+func (s *Stage) forwardBlocks(h *tensor.Matrix) *tensor.Matrix {
 	for _, b := range s.Blocks {
 		h = b.Forward(h)
 	}
@@ -154,9 +170,14 @@ func (s *Stage) BackwardLogits(dLogits *tensor.Matrix) *tensor.Matrix {
 	if !s.IsLast() {
 		panic("model: BackwardLogits on non-last stage")
 	}
-	dh := s.OutEmb.BackwardLogits(dLogits)
-	dh = s.OutLN.Backward(dh)
-	return s.backwardBlocks(dh)
+	n := s.OutEmb.hQueue.peek() // Logits' normed hidden state, dead after this
+	dn := s.OutEmb.BackwardLogits(dLogits)
+	s.scr.put(n)
+	dh := s.OutLN.Backward(dn)
+	s.scr.put(dn)
+	out := s.backwardBlocks(dh)
+	s.scr.put(dh)
+	return out
 }
 
 // BackwardHidden backpropagates the activation gradient received from
@@ -169,16 +190,37 @@ func (s *Stage) BackwardHidden(dh *tensor.Matrix) *tensor.Matrix {
 	return s.backwardBlocks(dh)
 }
 
+// backwardBlocks runs the blocks (and, on the first stage, the input
+// projection and lookup) backwards from dh, which stays the caller's. On
+// the way it puts back what the stage itself produced and no longer needs:
+// each gradient once the layer below has consumed it, and each layer's
+// forward input — the output of the layer below — once that layer's
+// backward is done. The one forward input it leaves alone is a non-first
+// stage's, which came from upstream.
 func (s *Stage) backwardBlocks(dh *tensor.Matrix) *tensor.Matrix {
+	in := dh
 	for i := len(s.Blocks) - 1; i >= 0; i-- {
-		dh = s.Blocks[i].Backward(dh)
+		b := s.Blocks[i]
+		x := b.Lin.xQueue.peek()
+		next := b.Backward(dh)
+		if i > 0 || s.IsFirst() {
+			s.scr.put(x)
+		}
+		if dh != in {
+			s.scr.put(dh)
+		}
+		dh = next
 	}
-	if s.IsFirst() {
-		dx := s.InProj.Backward(dh)
-		s.Emb.BackwardLookup(dx)
-		return nil
+	if !s.IsFirst() {
+		return dh
 	}
-	return dh
+	x := s.InProj.xQueue.peek()
+	dx := s.InProj.Backward(dh)
+	s.scr.put(x)
+	s.scr.put(dh) // a block's result: every stage has at least one block
+	s.Emb.BackwardLookup(dx)
+	s.scr.put(dx)
+	return nil
 }
 
 // Params returns all parameter matrices owned by this stage, embedding

@@ -206,26 +206,29 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// Cache-blocking parameters for the matmul kernels. The tilings below are
-// chosen so that every output element's accumulation order over k is
-// exactly the order of the untiled kernels — k-blocks are visited in
-// ascending order and each block's k's in ascending order — which keeps
-// results bit-identical while shrinking the working set to cache-resident
-// panels.
+// The matmul kernels share one contract, stated per output element: its
+// terms are accumulated over k in ascending order, from +0, each product
+// rounded before it is added (written float64(x*y), so a target that may
+// fuse multiply-adds — arm64, GOAMD64=v3 — cannot skip that rounding), and
+// never reassociated. The axpy-form kernels (MatMulInto, MatMulATInto) skip
+// a term exactly when its a operand is 0; the dot-form kernel (MatMulBTInto)
+// skips nothing. Every traversal that honours the contract produces the
+// same bits, so the kernels are free to block for registers: they differ
+// from the reference triple loops (into_test.go) only in how many memory
+// operations and branches each multiply-add costs.
 const (
-	// blockK tiles the reduction dimension of MatMulInto: a blockK-row
-	// panel of b (blockK × b.Cols float64s) stays hot across all rows of a.
-	blockK = 64
+	// skinnyPanel bounds the k range of one register pass of MatMulATInto's
+	// skinny path (see skinny), which reads a by columns: 64 rows keep the
+	// lines of a column panel in L1 until the neighbouring columns have
+	// used them (unpanelled, a 1024×3072 a measured 2.3–5.5 ns per
+	// multiply-add).
+	skinnyPanel = 64
 	// blockJ tiles the b rows of MatMulBTInto: a blockJ-row panel of b
-	// stays hot while streaming the rows of a against it.
+	// stays cache-resident while the rows of a stream against it. It only
+	// changes which dot product is computed when (0.39 → 0.29 ns per
+	// multiply-add at PowerSGD's 1024×64·(3072×64)ᵀ reconstruction; no
+	// effect at the trainer's shapes).
 	blockJ = 128
-	// atDstResident is the dst footprint (bytes) below which MatMulATInto
-	// keeps the whole dst in cache and streams a/b once (the common
-	// PowerSGD case, where dst is a skinny m×rank factor). Above it, dst is
-	// tiled into row panels instead.
-	atDstResident = 1 << 19
-	// blockIAT is the dst row-panel height used when dst does not fit.
-	blockIAT = 64
 )
 
 // MatMulInto computes dst = a×b without allocating. dst must be a.Rows ×
@@ -238,32 +241,21 @@ func MatMulInto(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	dst.Zero()
-	matMulRange(dst, a, b, 0, a.Rows)
-}
-
-// matMulRange accumulates rows [lo, hi) of dst = a×b. dst rows must
-// already be zeroed. The k-blocked ikj order keeps the inner loop
-// streaming over contiguous rows of b and dst while a blockK-row panel of
-// b stays cache-resident across the i sweep.
-func matMulRange(dst, a, b *Matrix, lo, hi int) {
-	for kb := 0; kb < a.Cols; kb += blockK {
-		kEnd := kb + blockK
-		if kEnd > a.Cols {
-			kEnd = a.Cols
+	kk, m := a.Cols, b.Cols
+	bd := b.Data
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		d := dst.Row(i)
+		if skinny(m) {
+			skinnyRow(d, arow, 1, bd)
+			continue
 		}
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			drow := dst.Row(i)
-			for k := kb; k < kEnd; k++ {
-				av := arow[k]
-				if av == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j, bv := range brow {
-					drow[j] += av * bv
-				}
-			}
+		k := 0
+		for ; k+4 <= kk; k += 4 {
+			axpy4(d, arow[k], arow[k+1], arow[k+2], arow[k+3], bd[k*m:(k+4)*m])
+		}
+		for ; k < kk; k++ {
+			axpy(d, arow[k], bd[k*m:(k+1)*m])
 		}
 	}
 }
@@ -278,40 +270,116 @@ func MatMulATInto(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulATInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
 	dst.Zero()
-	if int64(dst.Rows)*int64(dst.Cols)*8 <= atDstResident {
-		// dst fits in cache: stream a and b exactly once (PowerSGD's
-		// Q = Mᵀ·P shape, where dst is m×rank).
-		matMulATRange(dst, a, b, 0, a.Cols)
+	n, m, p := a.Rows, a.Cols, b.Cols
+	ad, bd, dd := a.Data, b.Data, dst.Data
+	if skinny(p) {
+		for k := 0; k < n; k += skinnyPanel {
+			kEnd := min(k+skinnyPanel, n)
+			ak, bk := ad[k*m:kEnd*m], bd[k*p:kEnd*p]
+			for i := 0; i < m; i++ {
+				skinnyRow(dd[i*p:(i+1)*p], ak[i:], m, bk)
+			}
+		}
 		return
 	}
-	// Large dst: tile into row panels so each panel stays resident across
-	// the full k sweep, at the cost of re-streaming a per panel.
-	for ib := 0; ib < a.Cols; ib += blockIAT {
-		iEnd := ib + blockIAT
-		if iEnd > a.Cols {
-			iEnd = a.Cols
+	k := 0
+	for ; k+4 <= n; k += 4 {
+		ak := ad[k*m : (k+4)*m]
+		a0, a1, a2, a3 := ak[:m], ak[m:][:m], ak[2*m:][:m], ak[3*m:][:m]
+		bk := bd[k*p : (k+4)*p]
+		for i := range a0 {
+			axpy4(dd[i*p:(i+1)*p], a0[i], a1[i], a2[i], a3[i], bk)
 		}
-		matMulATRange(dst, a, b, ib, iEnd)
+	}
+	for ; k < n; k++ {
+		brow := bd[k*p : (k+1)*p]
+		for i, av := range ad[k*m : (k+1)*m] {
+			axpy(dd[i*p:(i+1)*p], av, brow)
+		}
 	}
 }
 
-// matMulATRange accumulates dst rows [lo, hi) of dst = aᵀ×b. dst rows
-// must already be zeroed.
-func matMulATRange(dst, a, b *Matrix, lo, hi int) {
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i := lo; i < hi; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			drow := dst.Row(i)
-			for j, bv := range brow {
-				drow[j] += av * bv
+// axpy is one k step of an axpy-form kernel: it adds av·b to d element by
+// element, or nothing at all when av is 0 — the zero skip, which keeps
+// 0·Inf and the sign of a −0 product out of the sums.
+func axpy(d []float64, av float64, b []float64) {
+	if av == 0 {
+		return
+	}
+	b = b[:len(d)]
+	for j := range d {
+		d[j] += float64(av * b[j])
+	}
+}
+
+// axpy4 is four consecutive k steps against the four len(d)-long rows
+// packed in b. When no a operand is 0 each d element is loaded and stored
+// once for the four multiply-adds instead of once each; the adds into v
+// still happen in k order, exactly as the four axpy calls of the other
+// branch do them.
+//
+// Not inlined on purpose: inside a kernel the loop competes with the
+// kernel's own live slices for registers and the row bases get reloaded
+// from the stack every iteration (0.50 instead of 0.28 ns per multiply-add
+// measured in MatMulATInto); standing alone everything stays in registers.
+//
+//go:noinline
+func axpy4(d []float64, a0, a1, a2, a3 float64, b []float64) {
+	p := len(d)
+	// Re-sliced to len(d) so the loops carry no bounds checks.
+	b0, b1, b2, b3 := b[:p], b[p:][:p], b[2*p:][:p], b[3*p:][:p]
+	if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+		axpy(d, a0, b0)
+		axpy(d, a1, b1)
+		axpy(d, a2, b2)
+		axpy(d, a3, b3)
+		return
+	}
+	for j := range d {
+		v := d[j]
+		v += float64(a0 * b0[j])
+		v += float64(a1 * b1[j])
+		v += float64(a2 * b2[j])
+		v += float64(a3 * b3[j])
+		d[j] = v
+	}
+}
+
+// skinny reports whether a dst of cols columns takes the skinnyRow path:
+// the widths of the low-rank factors the repo actually runs. Odd widths
+// and everything from five columns on measured no better there than on the
+// general path, so they stay on it.
+func skinny(cols int) bool { return cols == 2 || cols == 4 }
+
+// skinnyRow is every k step of an axpy-form kernel for one skinny dst row
+// d, which it carries in registers from the first term to the last:
+// d[j] += a[k·stride]·b[k·len(d)+j] for k ascending, skipping a zero a
+// operand like axpy. stride is 1 when a is a row of the a matrix and its
+// column count when a is one of its columns.
+func skinnyRow(d, a []float64, stride int, b []float64) {
+	if len(d) == 2 {
+		s0, s1 := d[0], d[1]
+		for ai, k := 0, 0; k+2 <= len(b); ai, k = ai+stride, k+2 {
+			if av := a[ai]; av != 0 {
+				bk := b[k : k+2 : k+2]
+				s0 += float64(av * bk[0])
+				s1 += float64(av * bk[1])
 			}
 		}
+		d[0], d[1] = s0, s1
+		return
 	}
+	s0, s1, s2, s3 := d[0], d[1], d[2], d[3]
+	for ai, k := 0, 0; k+4 <= len(b); ai, k = ai+stride, k+4 {
+		if av := a[ai]; av != 0 {
+			bk := b[k : k+4 : k+4]
+			s0 += float64(av * bk[0])
+			s1 += float64(av * bk[1])
+			s2 += float64(av * bk[2])
+			s3 += float64(av * bk[3])
+		}
+	}
+	d[0], d[1], d[2], d[3] = s0, s1, s2, s3
 }
 
 // MatMulBTInto computes dst = a×bᵀ without materializing bᵀ.
@@ -323,29 +391,38 @@ func MatMulBTInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulBTInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	matMulBTRange(dst, a, b, 0, a.Rows)
-}
-
-// matMulBTRange computes rows [lo, hi) of dst = a×bᵀ. Each output element
-// is a single full-length dot product, so the j tiling below only changes
-// traversal order, never accumulation order. A blockJ-row panel of b stays
-// cache-resident while the rows of a stream against it.
-func matMulBTRange(dst, a, b *Matrix, lo, hi int) {
-	for jb := 0; jb < b.Rows; jb += blockJ {
-		jEnd := jb + blockJ
-		if jEnd > b.Rows {
-			jEnd = b.Rows
-		}
-		for i := lo; i < hi; i++ {
+	m, p := a.Cols, b.Rows
+	bd := b.Data
+	for jb := 0; jb < p; jb += blockJ {
+		jEnd := min(jb+blockJ, p)
+		for i := 0; i < a.Rows; i++ {
 			arow := a.Row(i)
-			drow := dst.Row(i)
-			for j := jb; j < jEnd; j++ {
-				brow := b.Row(j)
+			d := dst.Row(i)
+			j := jb
+			// Four dot products at a time: each output is still one
+			// full-length k-ascending sum, but four independent
+			// accumulators keep the adders busy where a single one waits
+			// out the add latency on every term.
+			for ; j+4 <= jEnd; j += 4 {
+				bj := bd[j*m : (j+4)*m]
+				// Re-sliced to len(arow) so the loop carries no bounds checks.
+				b0, b1, b2, b3 := bj[:len(arow)], bj[m:][:len(arow)], bj[2*m:][:len(arow)], bj[3*m:][:len(arow)]
+				var s0, s1, s2, s3 float64
+				for k, av := range arow {
+					s0 += float64(av * b0[k])
+					s1 += float64(av * b1[k])
+					s2 += float64(av * b2[k])
+					s3 += float64(av * b3[k])
+				}
+				d[j], d[j+1], d[j+2], d[j+3] = s0, s1, s2, s3
+			}
+			for ; j < jEnd; j++ {
+				brow := bd[j*m:][:len(arow)]
 				var s float64
 				for k, av := range arow {
-					s += av * brow[k]
+					s += float64(av * brow[k])
 				}
-				drow[j] = s
+				d[j] = s
 			}
 		}
 	}

@@ -121,20 +121,34 @@ func LogSumExpRow(row []float64) float64 {
 // Tanh applies tanh element-wise in place.
 func Tanh(m *Matrix) *Matrix { return m.Apply(math.Tanh) }
 
+// geluC is sqrt(2/pi), the scale inside the tanh-approximation GELU.
+const geluC = 0.7978845608028654
+
+// GELUTanh returns t = tanh(c·(x + 0.044715x³)), the one transcendental of
+// the tanh-approximation GELU: the activation is 0.5x(1+t) and its
+// derivative follows from (x, t) alone (GELUGradFromTanh), so a forward
+// pass that keeps t spares the backward pass the second tanh.
+func GELUTanh(x float64) float64 {
+	return math.Tanh(geluC * (x + 0.044715*x*x*x))
+}
+
 // GELU applies the tanh-approximation GELU activation in place, matching
 // the activation used in the Megatron-LM transformer block (Fig. 2).
 func GELU(m *Matrix) *Matrix {
-	const c = 0.7978845608028654 // sqrt(2/pi)
 	return m.Apply(func(x float64) float64 {
-		return 0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x)))
+		return 0.5 * x * (1 + GELUTanh(x))
 	})
 }
 
 // GELUGrad returns dGELU/dx evaluated element-wise at x (tanh approximation).
 func GELUGrad(x float64) float64 {
-	const c = 0.7978845608028654
-	t := math.Tanh(c * (x + 0.044715*x*x*x))
-	dt := (1 - t*t) * c * (1 + 3*0.044715*x*x)
+	return GELUGradFromTanh(x, GELUTanh(x))
+}
+
+// GELUGradFromTanh returns dGELU/dx at x given t = GELUTanh(x) — the same
+// operations in the same order as GELUGrad, so the same bits.
+func GELUGradFromTanh(x, t float64) float64 {
+	dt := (1 - t*t) * geluC * (1 + 3*0.044715*x*x)
 	return 0.5*(1+t) + 0.5*x*dt
 }
 

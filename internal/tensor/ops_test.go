@@ -143,6 +143,46 @@ func TestGELUGradMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
+// TestGELUFromStashBitIdentical pins the one-tanh split against the
+// expressions as they stood when forward and backward each took their own
+// tanh: the activation formed from GELUTanh, and the derivative formed
+// from (x, stashed tanh), carry the same bits over a sweep of inputs.
+func TestGELUFromStashBitIdentical(t *testing.T) {
+	const c = 0.7978845608028654
+	refGELU := func(x float64) float64 {
+		return 0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x)))
+	}
+	refGrad := func(x float64) float64 {
+		t := math.Tanh(c * (x + 0.044715*x*x*x))
+		dt := (1 - t*t) * c * (1 + 3*0.044715*x*x)
+		return 0.5*(1+t) + 0.5*x*dt
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	xs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-300, 1e300, -1e300}
+	for x := -12.0; x <= 12; x += 1.0 / 512 {
+		xs = append(xs, x, x*1.0000001)
+	}
+	for _, x := range xs {
+		th := GELUTanh(x)
+		if got, want := 0.5*x*(1+th), refGELU(x); !same(got, want) {
+			t.Fatalf("activation from GELUTanh at %v: %v, reference %v", x, got, want)
+		}
+		m := FromSlice(1, 1, []float64{x})
+		if got, want := GELU(m).Data[0], refGELU(x); !same(got, want) {
+			t.Fatalf("GELU(%v) = %v, reference %v", x, got, want)
+		}
+		if got, want := GELUGradFromTanh(x, th), refGrad(x); !same(got, want) {
+			t.Fatalf("GELUGradFromTanh(%v) = %v, reference %v", x, got, want)
+		}
+		if got, want := GELUGrad(x), refGrad(x); !same(got, want) {
+			t.Fatalf("GELUGrad(%v) = %v, reference %v", x, got, want)
+		}
+	}
+}
+
 func TestArgmaxRow(t *testing.T) {
 	if ArgmaxRow([]float64{1, 5, 3}) != 1 {
 		t.Fatal("argmax wrong")

@@ -82,12 +82,18 @@ func (t *Trainer) runStageRank(d, s int, mbs []microBatch, loss *float64) {
 		g.Zero()
 	}
 
-	// dLogitsQ carries the last stage's loss gradients from each forward
-	// op to the matching backward op (FIFO: both run in micro order).
-	// fwdInQ retains the received forward activations on the boundary the
-	// Fig. 11 statistics observe, for Stats.Record at backward time.
-	var dLogitsQ, fwdInQ []*tensor.Matrix
+	// dLogits carries the last stage's loss gradient from each micro-
+	// batch's forward op to its backward op. fwdIn retains the received
+	// forward activations on the boundary the Fig. 11 statistics observe,
+	// for Stats.Record at backward time. Both are indexed by micro-batch.
+	var dLogits, fwdIn []*tensor.Matrix
+	if s == last {
+		dLogits = make([]*tensor.Matrix, cfg.MicroBatches)
+	}
 	trackFwd := t.stats != nil && d == 0 && s == 1
+	if trackFwd {
+		fwdIn = make([]*tensor.Matrix, cfg.MicroBatches)
+	}
 	rec, track := t.rec, t.traceTrack(d, s)
 
 	for _, op := range t.sched.PerStage[s] {
@@ -101,9 +107,12 @@ func (t *Trainer) runStageRank(d, s int, mbs []microBatch, loss *float64) {
 				fStart = rec.Now()
 				h = st.ForwardTokens(mbs[mi].contexts)
 			} else {
+				// The stage borrows the received activation until this
+				// micro-batch's backward; nothing recycles it, so it is
+				// the garbage collector's afterwards.
 				in, _ := rt.Recv(collective.ClassPP, self, up)
 				if trackFwd {
-					fwdInQ = append(fwdInQ, in)
+					fwdIn[mi] = in
 				}
 				fStart = rec.Now()
 				h = st.ForwardHidden(in)
@@ -116,9 +125,9 @@ func (t *Trainer) runStageRank(d, s int, mbs []microBatch, loss *float64) {
 				rec.Record(track, obs.PhaseSendFwd, obs.LinkPP, sStart, wire, s, d, mi)
 			} else {
 				logits := st.Logits(h)
-				l, dLogits := model.CrossEntropy(logits, mbs[mi].targets)
+				l, dl := model.CrossEntropy(logits, mbs[mi].targets)
 				*loss += l
-				dLogitsQ = append(dLogitsQ, dLogits)
+				dLogits[mi] = dl
 				rec.Record(track, obs.PhaseFwd, obs.LinkNone, fStart, 0, s, d, mi)
 			}
 			continue
@@ -129,12 +138,14 @@ func (t *Trainer) runStageRank(d, s int, mbs []microBatch, loss *float64) {
 		var bStart int64
 		if s == last {
 			bStart = rec.Now()
-			g = st.BackwardLogits(dLogitsQ[0])
-			dLogitsQ = dLogitsQ[1:]
+			g = st.BackwardLogits(dLogits[mi])
+			dLogits[mi] = nil
 		} else {
 			in, pooled := rt.Recv(collective.ClassPP, self, down)
 			bStart = rec.Now()
 			g = st.BackwardHidden(in)
+			// The stage only read what it was handed; a reconstruction
+			// borrowed from the shared pool goes back there.
 			if pooled {
 				t.pool.Put(in)
 			}
@@ -145,8 +156,7 @@ func (t *Trainer) runStageRank(d, s int, mbs []microBatch, loss *float64) {
 		}
 		var fwdAct *tensor.Matrix
 		if trackFwd {
-			fwdAct = fwdInQ[0]
-			fwdInQ = fwdInQ[1:]
+			fwdAct, fwdIn[mi] = fwdIn[mi], nil
 		}
 		t.pipeSendBackward(d, s, mi, g, fwdAct)
 	}
