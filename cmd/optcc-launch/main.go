@@ -32,16 +32,27 @@ func main() {
 	transport := flag.String("transport", "unix", "wire transport between ranks: unix or tcp")
 	engine := flag.String("engine", "auto", "execution engine passed to every rank")
 	dpSync := flag.String("dp-sync", "auto", "DP synchronization mode passed to every rank")
+	cbAlg := flag.String("cb-alg", "", "inter-stage compressor family passed to every rank (empty = the config's)")
+	dpAlg := flag.String("dp-alg", "", "DP-sync compressor family passed to every rank (empty = the config's)")
 	trainBin := flag.String("train-bin", "", "path to the optcc-train binary (default: next to this binary, then $PATH)")
 	flag.Parse()
 
-	if err := run(*config, *iters, *seed, *pp, *dp, *transport, *engine, *dpSync, *trainBin); err != nil {
+	// Family overrides ride along only when set, so a rank sees exactly
+	// the flags a single-process optcc-train of the same run would.
+	var algs []string
+	if *cbAlg != "" {
+		algs = append(algs, "-cb-alg", *cbAlg)
+	}
+	if *dpAlg != "" {
+		algs = append(algs, "-dp-alg", *dpAlg)
+	}
+	if err := run(*config, *iters, *seed, *pp, *dp, *transport, *engine, *dpSync, *trainBin, algs); err != nil {
 		fmt.Fprintln(os.Stderr, "optcc-launch:", err)
 		os.Exit(1)
 	}
 }
 
-func run(config string, iters int, seed int64, pp, dp int, transport, engine, dpSync, trainBin string) error {
+func run(config string, iters int, seed int64, pp, dp int, transport, engine, dpSync, trainBin string, algs []string) error {
 	if transport != "unix" && transport != "tcp" {
 		return fmt.Errorf("unknown -transport %q (want unix or tcp)", transport)
 	}
@@ -79,7 +90,7 @@ func run(config string, iters int, seed int64, pp, dp int, transport, engine, dp
 	procs := make([]*exec.Cmd, world)
 	exits := make(chan rankExit, world)
 	for r := 0; r < world; r++ {
-		cmd := exec.Command(bin,
+		cmd := exec.Command(bin, append([]string{
 			"-config", config,
 			"-iters", fmt.Sprint(iters),
 			"-seed", fmt.Sprint(seed),
@@ -91,7 +102,7 @@ func run(config string, iters int, seed int64, pp, dp int, transport, engine, dp
 			"-transport", transport,
 			"-coord", coord.Addr(),
 			"-sock-dir", sockDir,
-		)
+		}, algs...)...)
 		out, err := cmd.StdoutPipe()
 		if err != nil {
 			return err

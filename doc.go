@@ -26,12 +26,15 @@
 // oracle, with executed pp-class traffic equal to sim.PredictInterStage's
 // fwd+bwd model exactly. Data-parallel synchronization is overlapped with
 // the backward pass: the plan compiles a byte-budgeted bucket schedule,
-// each stage's buckets are issued as asynchronous collectives (*Pending
-// handles, per-rank op queues, deterministic in-flight execution) the
-// moment the stage's gradients are final, and the iteration waits on
-// every handle before the optimizer step — still bit-identical, with
-// executed per-bucket wire volume equal to sim.PredictDPBucketBytes
-// exactly and the exposed tail modeled by sim.PredictDPOverlap.
+// each bucket is issued as one asynchronous collective — one ring over
+// its dense gradients laid end to end, one all-gather of its compressed
+// gradients' payloads (*Pending handles, per-rank op queues,
+// deterministic in-flight execution) — the moment the stage's gradients
+// are final, and the iteration waits on every handle before the
+// optimizer step — still bit-identical, with executed per-bucket wire
+// volume equal to sim.PredictDPBucketBytes exactly, messages and steps
+// per bucket rather than per gradient, and the exposed tail modeled by
+// sim.PredictDPOverlap.
 // Checkpoints (v2) persist the full resume state: weights, optimizer
 // momentum, iteration/sampling position, and every error-feedback
 // residual and PowerSGD warm-start factor.
@@ -71,10 +74,14 @@
 // The transport under the collective runtime is pluggable: the default
 // in-process MemTransport hands tensors over channels zero-copy, while
 // collective.SocketTransport ships every message as a length-prefixed
-// binary frame (internal/collective/wire.go, payloads serialized by
-// internal/tensor's codec) over TCP or unix sockets with identical
-// per-class accounting — a remote run's Stats are bit-equal to the
-// in-memory oracle's, with the actual framed volume tallied separately.
+// binary frame (internal/collective/wire.go) over TCP or unix sockets
+// with identical per-class accounting — a remote run's Stats are
+// bit-equal to the in-memory oracle's, with the actual framed volume
+// tallied separately. A frame carries a list of payload parts, each in
+// its compact exact form — a dense image, sparse index/value pairs, or
+// a PowerSGD factor pair the receiver multiplies back out with the
+// sender's own kernel, hence to the same bits — so a compressed run
+// frames fewer bytes than a dense one in the ratio the model predicts.
 // train.Config.Dist switches the trainer into SPMD mode (every process
 // builds the full model for RNG lockstep but executes only its local
 // rank), collective.Coordinator/JoinCoordinator provide the rendezvous,

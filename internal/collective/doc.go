@@ -13,22 +13,34 @@
 //     orderings of every communication group: the per-stage data-parallel
 //     groups, the per-replica pipeline groups, and the §6 fused embedding
 //     group (first- and last-stage ranks of every DP replica).
-//   - Transport moves step tokens between ranks and accounts traffic per
+//   - Transport moves messages between ranks and accounts traffic per
 //     link class (ClassDP, ClassPP, ClassEmb). MemTransport is the
 //     in-process implementation: one buffered channel per directed rank
-//     pair, atomic counters per class.
+//     pair, atomic counters per class, messages that are bare step tokens
+//     because the data stays in shared memory. SocketTransport puts a
+//     process boundary under the same schedules: every message is one
+//     length-prefixed frame carrying its data as a list of payload parts
+//     (see wire.go).
 //   - Runtime owns one long-lived worker goroutine per rank (so steady-
 //     state collectives spawn nothing and allocate nothing) plus the
 //     tensor.Pool that reduction scratch comes from. Close releases the
 //     workers.
 //   - Group is a set of ranks in ring order bound to a link class. Its
-//     collectives — AllReduce, AllReduceCompressed, Broadcast — follow the
-//     Thakur ring schedule: reduce-scatter + all-gather over chunk views
-//     (tensor.Matrix.SliceInto), 2(R−1) steps, per-rank volume
-//     2V·(R−1)/R. AllReduceCompressed runs a compress.Compressor with
-//     per-rank error feedback inside the collective (ring all-gather of
-//     the compressed payloads, then local reduction), which is exactly the
-//     semantics of per-group PowerSGD gradient averaging.
+//     unit of communication is the bucket: AllReduceBucket reduces a list
+//     of tensors (Channels) as one operation. The dense channels, laid
+//     end to end, ride one Thakur ring — reduce-scatter + all-gather over
+//     R chunks of the concatenation, 2(R−1) steps, per-rank volume
+//     2V·(R−1)/R. The compressed channels each run a compress.Compressor
+//     with per-rank error feedback inside the collective — exactly the
+//     semantics of per-group PowerSGD gradient averaging — and every
+//     member's whole payload batch rides one ring all-gather, R−1 steps,
+//     followed by a local reduction per channel. AllReduce and
+//     AllReduceCompressed are the bucket-of-one forms of the same
+//     schedule, and Broadcast is a ring pipeline. Bucketing never
+//     changes a result or the bytes moved (each chunk and each payload
+//     still travels R−1 hops per phase); it divides the messages and
+//     steps by the channels per bucket, which is what a latency-bound
+//     link pays for.
 //   - Point-to-point primitives (Runtime.Send, Recv, SendCompressed)
 //     execute the pipeline-parallel inter-stage transfers of §5: a tensor
 //     is handed to the neighbouring rank through a payload queue deep
@@ -36,10 +48,13 @@
 //     construction), accounting its wire bytes, one message, and one
 //     latency-bearing step on ClassPP. SendCompressed runs the boundary's
 //     private error-feedback compressor — the residual is the paper's
-//     lazy error propagation (§5.1) — and ships the reconstruction while
-//     accounting only the payload bytes. internal/train's 1F1B executor
-//     is built on these; simnet.InterStageMessages and
-//     sim.PredictInterStage are their analytic twins.
+//     lazy error propagation (§5.1) — accounting only the payload bytes;
+//     what travels is the reconstruction in process and the payload's
+//     compact exact form (low-rank factors, sparse pairs) over a wire,
+//     and Recv hands the receiver the same dense tensor either way.
+//     internal/train's 1F1B executor is built on these;
+//     simnet.InterStageMessages and sim.PredictInterStage are their
+//     analytic twins.
 //
 // # Determinism
 //
@@ -47,21 +62,25 @@
 // order (chunk c starts at rank c), so different chunks reduce in
 // different orders and the result is only reproducible up to floating-
 // point reassociation. This runtime deliberately trades that artifact
-// away: the message schedule, step count, and per-link byte accounting
-// follow the ring exactly, but each chunk's owner applies the reduction
-// in flat rank order over the (shared-memory) source buffers. Every
-// collective is therefore bit-identical to the serial reference reduction
-// at any rank count — the property the trainer's equivalence tests pin at
-// tolerance zero — while the transport still observes genuine Thakur-ring
-// traffic. The happens-before edges that make the shared-memory reads
-// safe are carried by the step tokens themselves, which the race-enabled
-// tests exercise.
+// away: the message count, step count, and byte accounting follow the
+// ring exactly — a member sends every chunk but its own in the reduce-
+// scatter phase, as the ring does — but each chunk goes straight to its
+// owner, who applies the reduction in flat rank order over all R raw
+// copies (read from the members' shared buffers in process, from the
+// messages over a wire). Every collective is therefore bit-identical to
+// the serial reference reduction at any rank count, on either transport,
+// and however its tensors are bucketed — the property the trainer's
+// equivalence tests pin at tolerance zero — while the transport still
+// observes the Thakur ring's traffic volume. In process the happens-
+// before edges that make the shared-memory reads safe are carried by
+// the messages themselves, which the race-enabled tests exercise.
 //
 // # Async handles
 //
 // Every collective also exists as an issued operation:
-// AllReduceAsync/AllReduceCompressedAsync/BroadcastAsync return a
-// *Pending handle immediately (Wait, Done, WaitBytes — the last also
+// AllReduceBucketAsync (and the AllReduceAsync/AllReduceCompressedAsync/
+// BroadcastAsync single-tensor forms) return a *Pending handle
+// immediately (Wait, Done, WaitBytes — the last also
 // reporting the operation's executed wire volume, which the trainer's
 // per-bucket crosschecks reconcile against plan and simulator
 // predictions). The blocking methods are issue+wait wrappers, so both

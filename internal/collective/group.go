@@ -14,11 +14,16 @@ import (
 // collectives operate on one buffer per member rank (bufs[i] belongs to
 // ranks[i]) — the in-process stand-in for each rank's device memory.
 //
-// Collectives come in two flavours: the blocking methods (AllReduce,
-// AllReduceCompressed, Broadcast) and their Async variants, which issue
-// the operation and return a *Pending handle immediately. The blocking
-// methods are issue+wait wrappers over the async ones, so both paths
-// execute the identical deterministic schedule.
+// The unit of communication is the bucket: AllReduceBucket reduces a list
+// of tensors (Channels) in one operation — one ring over the dense ones
+// laid end to end, one all-gather of every member's compressed payloads —
+// and AllReduce/AllReduceCompressed are its bucket-of-one forms, executing
+// the same schedule.
+//
+// Collectives come in two flavours: the blocking methods and their Async
+// variants, which issue the operation and return a *Pending handle
+// immediately. The blocking methods are issue+wait wrappers over the
+// async ones, so both paths execute the identical deterministic schedule.
 //
 // A group may have several operations in flight at once (issued from one
 // goroutine, so each rank's op queue sees them in issue order); their
@@ -33,7 +38,7 @@ type Group struct {
 	// with its stage index); −1 means untagged.
 	tag int
 
-	// denseReduce forces AllReduceCompressed to densify sparse payloads
+	// denseReduce forces compressed channels to densify sparse payloads
 	// and reduce through the dense reconstruction path even for
 	// sparse-native families — the oracle knob the equivalence tests and
 	// the sparse-vs-densified benchmarks flip.
@@ -55,11 +60,21 @@ func (g *Group) SetDensifiedReduce(on bool) { g.denseReduce = on }
 // Must not be called while operations are in flight.
 func (g *Group) SetTag(tag int) { g.tag = tag }
 
+// Channel is one tensor of a bucket all-reduce: Bufs[i] is member i's
+// buffer (all of one shape) and EFs, when non-nil, member i's private
+// error-feedback compressor — the channel then reduces lossily, through
+// the compressed payloads, and otherwise exactly. A compressor serves
+// one channel of a bucket only (its payload scratch is reused by its
+// next same-shape compression).
+type Channel struct {
+	Bufs []*tensor.Matrix
+	EFs  []*compress.ErrorFeedback
+}
+
 type opKind int
 
 const (
 	opAllReduce opKind = iota
-	opAllReduceCompressed
 	opBroadcast
 )
 
@@ -75,22 +90,41 @@ const (
 type Pending struct {
 	g     *Group
 	kind  opKind
-	bufs  []*tensor.Matrix
-	efs   []*compress.ErrorFeedback
+	chans []Channel
+	one   [1]Channel // backs chans for the single-tensor forms
 	scale float64
 	root  int
 	// opBytes is the dense wire size of one broadcast hop.
 	opBytes int64
-	offs    []int // chunk offsets, len(ranks)+1
-	recons  []*tensor.Matrix
-	// sparse marks a compressed op whose every compressor is sparse-native
-	// (and the group's densified-oracle knob is off): members ship sparse
-	// payload copies through spl instead of dense reconstructions.
-	sparse bool
-	spl    []*tensor.Sparse
-	viewA  []tensor.Matrix // per-member destination view headers
-	viewB  []tensor.Matrix // per-member source view headers
-	wg     sync.WaitGroup
+
+	// The dense ring's layout. dense lists the bucket's dense channels
+	// (indices into chans, bucket order); laid end to end they form one
+	// virtual vector in which dense channel i starts at element cum[i],
+	// and offs cuts its cum[len(dense)] elements into D balanced chunks:
+	// chunk c covers [offs[c], offs[c+1]).
+	dense []int
+	cum   []int
+	offs  []int
+
+	// The compressed all-gather's layout. comp lists the compressed
+	// channels (indices into chans, bucket order); sparse[k] marks those
+	// whose every compressor is sparse-native (and the group's densified
+	// oracle knob is off), which ship and reduce index/value payloads
+	// instead of dense reconstructions. slots[k·D+j] is member j's
+	// contribution to compressed channel k — a pooled reconstruction
+	// (Payload) or sparse copy — written by member j in memory, by the
+	// local member as batches arrive over a wire, read by every member
+	// after the gather, and returned to the pool by the op's last member.
+	comp   []int
+	sparse []bool
+	slots  []Part
+	// batch is the local member's outgoing payload list and spent the
+	// factor pairs received and already multiplied out (remote only —
+	// one local member, so neither needs a per-member copy).
+	batch []Part
+	spent []*tensor.Matrix
+
+	wg sync.WaitGroup
 
 	// issueNs is the dispatch timestamp on the recorder's clock (only
 	// stamped when a recorder is attached): the op's trace span runs
@@ -115,12 +149,40 @@ func (g *Group) Ranks() []int { return append([]int(nil), g.ranks...) }
 // Class returns the link class the group's traffic is accounted on.
 func (g *Group) Class() Class { return g.class }
 
-// AllReduce sets every buffer to scale·Σ bufs, element-wise: scale = 1/D
-// is the data-parallel average, scale = 1 the §6 embedding sum. The
-// schedule is the Thakur ring — reduce-scatter then all-gather over D
-// chunk views, 2(D−1) steps, per-rank volume 2V·(D−1)/D — and the
-// reduction applies in flat ring order, so the result is bit-identical to
-// the serial reference sum at any rank count (see the package comment).
+// AllReduceBucket sets every buffer of every channel to scale·Σ over the
+// members, element-wise — scale = 1/D is the data-parallel average — as
+// one collective operation:
+//
+//   - every member compresses each compressed channel through its own
+//     error-feedback compressor, in bucket order (residuals carry across
+//     calls, §2.3);
+//   - the dense channels, laid end to end, ride one Thakur ring —
+//     reduce-scatter then all-gather over D chunks of the concatenation,
+//     2(D−1) steps, aggregate volume 2·V·(D−1) for V dense bytes;
+//   - every member's whole payload batch rides one ring all-gather (each
+//     step forwards the batch received on the previous one, D−1 steps,
+//     aggregate (D−1)·D·w for a w-byte batch), after which each member
+//     folds each channel's D payloads locally.
+//
+// Every reduction applies in flat ring order, so each channel's result
+// is bit-identical to reducing it on its own and to the serial reference
+// sum at any rank count (see the package comment); only the message and
+// step counts depend on how channels are bucketed — D·2(D−1) + D(D−1)
+// messages and 2(D−1) + (D−1) steps per bucket, each term present when
+// the bucket has a channel of that kind.
+func (g *Group) AllReduceBucket(chans []Channel, scale float64) {
+	g.AllReduceBucketAsync(chans, scale).Wait()
+}
+
+// AllReduceBucketAsync issues AllReduceBucket and returns immediately.
+// The channel list, buffers and compressors belong to the operation
+// until the returned handle's Wait returns.
+func (g *Group) AllReduceBucketAsync(chans []Channel, scale float64) *Pending {
+	return g.issueAllReduce(g.getOp(), chans, scale)
+}
+
+// AllReduce is AllReduceBucket over the single dense tensor bufs: scale
+// = 1/D is the data-parallel average, scale = 1 the §6 embedding sum.
 func (g *Group) AllReduce(bufs []*tensor.Matrix, scale float64) {
 	g.AllReduceAsync(bufs, scale).Wait()
 }
@@ -128,27 +190,17 @@ func (g *Group) AllReduce(bufs []*tensor.Matrix, scale float64) {
 // AllReduceAsync issues AllReduce and returns immediately. The buffers
 // must not be touched until the returned handle's Wait returns.
 func (g *Group) AllReduceAsync(bufs []*tensor.Matrix, scale float64) *Pending {
-	p := g.prep(opAllReduce, bufs, scale)
-	if len(g.ranks) == 1 {
-		if g.rt.local[g.ranks[0]] {
-			if scale != 1 {
-				bufs[0].Scale(scale)
-			}
-		}
-		return p
-	}
-	g.accountSteps(2 * (len(g.ranks) - 1))
-	p.dispatch()
-	return p
+	p := g.getOp()
+	p.one[0] = Channel{Bufs: bufs}
+	return g.issueAllReduce(p, p.one[:], scale)
 }
 
-// AllReduceCompressed is the lossy variant: each rank compresses its own
-// buffer through its private error-feedback compressor (efs[i] belongs to
-// ranks[i]; residuals carry across calls, §2.3), the compressed payloads
-// ride a ring all-gather (D−1 steps, payload wire bytes accounted), and
-// every rank reduces the reconstructions in flat ring order into its
-// buffer. The result matches the serial per-group compress-then-average
-// semantics bit for bit.
+// AllReduceCompressed is AllReduceBucket over the single compressed
+// tensor bufs: each rank compresses its own buffer through its private
+// error-feedback compressor (efs[i] belongs to ranks[i]), the payloads
+// ride the ring all-gather, and every rank reduces the reconstructions
+// in flat ring order into its buffer. The result matches the serial
+// per-group compress-then-average semantics bit for bit.
 func (g *Group) AllReduceCompressed(bufs []*tensor.Matrix, efs []*compress.ErrorFeedback, scale float64) {
 	g.AllReduceCompressedAsync(bufs, efs, scale).Wait()
 }
@@ -160,39 +212,31 @@ func (g *Group) AllReduceCompressedAsync(bufs []*tensor.Matrix, efs []*compress.
 	if len(efs) != len(g.ranks) {
 		panic(fmt.Sprintf("collective: %d compressors for %d ranks", len(efs), len(g.ranks)))
 	}
-	p := g.prep(opAllReduceCompressed, bufs, scale)
-	p.efs = efs
-	// The whole op must pick one reduction representation: every member
-	// reads every member's payload slot, so a mixed sparse/dense op would
-	// read unset slots. Sparse-native only when every compressor is.
-	p.sparse = !g.denseReduce
-	for _, ef := range efs {
-		if !ef.SparseNative() {
-			p.sparse = false
-			break
-		}
-	}
-	if len(g.ranks) == 1 {
-		// Degenerate ring: compress/reconstruct locally so the error-
-		// feedback residual sequence matches the serial semantics.
-		if !g.rt.local[g.ranks[0]] {
-			return p
-		}
-		if p.sparse {
-			pl, _ := efs[0].CompressWithFeedbackSparse(bufs[0])
-			bufs[0].Zero()
-			tensor.SpAxpyInto(bufs[0], scale, &pl.Sparse)
-			g.rt.spOps.Add(1)
-			return p
-		}
-		_, recon := efs[0].CompressWithFeedback(bufs[0])
-		bufs[0].CopyFrom(recon)
-		if scale != 1 {
-			bufs[0].Scale(scale)
-		}
+	p := g.getOp()
+	p.one[0] = Channel{Bufs: bufs, EFs: efs}
+	return g.issueAllReduce(p, p.one[:], scale)
+}
+
+// issueAllReduce lays the bucket out on p and dispatches it.
+func (g *Group) issueAllReduce(p *Pending, chans []Channel, scale float64) *Pending {
+	d := len(g.ranks)
+	p.kind = opAllReduce
+	p.chans = chans
+	p.scale = scale
+	p.wire.Store(0)
+	p.layout()
+	if d == 1 {
+		p.runAlone()
 		return p
 	}
-	g.accountSteps(len(g.ranks) - 1)
+	steps := 0
+	if len(p.dense) > 0 {
+		steps += 2 * (d - 1)
+	}
+	if len(p.comp) > 0 {
+		steps += d - 1
+	}
+	g.accountSteps(steps)
 	p.dispatch()
 	return p
 }
@@ -210,9 +254,14 @@ func (g *Group) BroadcastAsync(bufs []*tensor.Matrix, root int) *Pending {
 	if root < 0 || root >= len(g.ranks) {
 		panic(fmt.Sprintf("collective: broadcast root %d outside group of %d", root, len(g.ranks)))
 	}
-	p := g.prep(opBroadcast, bufs, 1)
+	rows, cols := g.checkBufs(bufs)
+	p := g.getOp()
+	p.kind = opBroadcast
+	p.one[0] = Channel{Bufs: bufs}
+	p.chans = p.one[:]
+	p.wire.Store(0)
 	p.root = root
-	p.opBytes = bufs[0].SizeBytes(compress.ElemBytes)
+	p.opBytes = int64(rows*cols) * compress.ElemBytes
 	if len(g.ranks) == 1 {
 		return p
 	}
@@ -242,53 +291,71 @@ func (g *Group) getOp() *Pending {
 		return p
 	}
 	g.mu.Unlock()
-	d := len(g.ranks)
-	return &Pending{
-		g:      g,
-		offs:   make([]int, d+1),
-		recons: make([]*tensor.Matrix, d),
-		spl:    make([]*tensor.Sparse, d),
-		viewA:  make([]tensor.Matrix, d),
-		viewB:  make([]tensor.Matrix, d),
-	}
+	return &Pending{g: g, offs: make([]int, len(g.ranks)+1)}
 }
 
 // putOp recycles a finished descriptor.
 func (g *Group) putOp(p *Pending) {
-	p.bufs = nil
-	p.efs = nil
+	p.chans = nil
+	p.one[0] = Channel{}
 	g.mu.Lock()
 	g.free = append(g.free, p)
 	g.mu.Unlock()
 }
 
-// prep validates the buffers and loads a fresh op descriptor.
-func (g *Group) prep(kind opKind, bufs []*tensor.Matrix, scale float64) *Pending {
+// checkBufs validates one tensor's member buffers — one per rank, all of
+// one shape — and returns that shape.
+func (g *Group) checkBufs(bufs []*tensor.Matrix) (rows, cols int) {
 	if len(bufs) != len(g.ranks) {
 		panic(fmt.Sprintf("collective: %d buffers for %d ranks", len(bufs), len(g.ranks)))
 	}
-	r0, c0 := bufs[0].Shape()
+	rows, cols = bufs[0].Shape()
 	for _, b := range bufs[1:] {
-		if r, c := b.Shape(); r != r0 || c != c0 {
-			panic(fmt.Sprintf("collective: buffer shape %dx%d != %dx%d", r, c, r0, c0))
+		if r, c := b.Shape(); r != rows || c != cols {
+			panic(fmt.Sprintf("collective: buffer shape %dx%d != %dx%d", r, c, rows, cols))
 		}
 	}
-	p := g.getOp()
-	p.kind = kind
-	p.bufs = bufs
-	p.efs = nil
-	p.sparse = false
-	p.scale = scale
-	p.wire.Store(0)
-	p.chunkOffsets(r0 * c0)
-	return p
+	return rows, cols
 }
 
-// chunkOffsets computes the balanced D-way partition of n elements:
-// chunk c covers [offs[c], offs[c+1]), sizes differing by at most one
-// element (odd sizes and n < D — empty chunks — are fine).
-func (p *Pending) chunkOffsets(n int) {
-	d := len(p.g.ranks)
+// layout validates the bucket and derives the op's dense-ring and
+// compressed-gather layouts. The descriptor's slices keep their capacity
+// across recycles, so a group whose bucket shapes repeat stops
+// allocating after its first few operations.
+func (p *Pending) layout() {
+	g := p.g
+	d := len(g.ranks)
+	if len(p.chans) == 0 {
+		panic("collective: empty bucket")
+	}
+	p.dense, p.cum, p.comp, p.sparse = p.dense[:0], append(p.cum[:0], 0), p.comp[:0], p.sparse[:0]
+	for ci := range p.chans {
+		ch := &p.chans[ci]
+		r0, c0 := g.checkBufs(ch.Bufs)
+		if ch.EFs == nil {
+			p.dense = append(p.dense, ci)
+			p.cum = append(p.cum, p.cum[len(p.cum)-1]+r0*c0)
+			continue
+		}
+		if len(ch.EFs) != d {
+			panic(fmt.Sprintf("collective: %d compressors for %d ranks", len(ch.EFs), d))
+		}
+		// A channel must pick one reduction representation: every member
+		// reads every member's payload slot, so a mixed sparse/dense
+		// channel would read unset slots. Sparse-native only when every
+		// compressor is.
+		sparse := !g.denseReduce
+		for _, ef := range ch.EFs {
+			sparse = sparse && ef.SparseNative()
+		}
+		p.comp = append(p.comp, ci)
+		p.sparse = append(p.sparse, sparse)
+	}
+
+	// The balanced D-way partition of the concatenation: chunk sizes
+	// differ by at most one element (odd sizes and fewer elements than
+	// members — empty chunks — are fine).
+	n := p.cum[len(p.dense)]
 	base, rem := n/d, n%d
 	off := 0
 	for c := 0; c < d; c++ {
@@ -299,6 +366,21 @@ func (p *Pending) chunkOffsets(n int) {
 		}
 	}
 	p.offs[d] = off
+
+	p.slots = resize(p.slots, len(p.comp)*d)
+	if g.rt.remote {
+		p.batch = resize(p.batch, len(p.comp))
+	}
+}
+
+// resize returns s with length n, reusing its storage when it fits.
+// Reused elements keep what they held: slots are cleared as each op
+// finishes, batch entries overwritten before they are sent.
+func resize(s []Part, n int) []Part {
+	if cap(s) < n {
+		return make([]Part, n)
+	}
+	return s[:n]
 }
 
 // dispatch hands one task per local member to the rank workers. Tasks
@@ -347,178 +429,360 @@ func (p *Pending) WaitBytes() int64 {
 func (p *Pending) Done() bool { return p.remaining.Load() == 0 }
 
 // WireBytes returns the bytes this operation has put on the transport so
-// far, summed over every member's sends: 2V·(D−1) for a dense all-reduce
-// of a V-byte buffer, (D−1)·Σ payloads for a compressed one, (D−1)·V for
-// a broadcast. Only stable once Done reports true; callers that need the
-// executed volume must read it between Done and Wait (or from the value
-// Wait leaves behind — see the trainer's bucket log).
+// far, summed over every member's sends: per bucket, 2V·(D−1) for V
+// bytes of dense channels plus (D−1)·Σ payload batches for the
+// compressed ones; (D−1)·V for a broadcast. Only stable once Done
+// reports true; callers that need the executed volume must read it
+// between Done and Wait (or from the value Wait leaves behind — see the
+// trainer's bucket log).
 func (p *Pending) WireBytes() int64 { return p.wire.Load() }
 
 // exec runs member m's share of the operation (called on rank workers).
-// Remote runtimes execute the wire twins, which ship chunk and payload
-// data inside messages instead of reading peer buffers.
 func (p *Pending) exec(m int) {
-	switch {
-	case p.g.rt.remote:
-		switch p.kind {
-		case opAllReduce:
-			p.runAllReduceWire(m)
-		case opAllReduceCompressed:
-			p.runAllReduceCompressedWire(m)
-		case opBroadcast:
-			p.runBroadcastWire(m)
-		}
-	case p.kind == opAllReduce:
-		p.runAllReduce(m)
-	case p.kind == opAllReduceCompressed:
-		p.runAllReduceCompressed(m)
-	case p.kind == opBroadcast:
+	ph := obs.PhaseBroadcast
+	if p.kind == opBroadcast {
 		p.runBroadcast(m)
-	}
-	if p.remaining.Add(-1) == 0 {
-		// Last member out: record the operation's issue→finish span — its
-		// Bytes field carries the op's full executed wire volume, so the
-		// per-link-class span sums reconcile exactly against the transport
-		// counters — and, for compressed ops, return the reconstruction
-		// (or sparse payload) copies to the pool; only now is every member
-		// done reading them.
-		g := p.g
-		if rec := g.rt.rec; rec != nil {
-			var ph obs.Phase
-			switch p.kind {
-			case opAllReduce:
-				ph = obs.PhaseAllReduce
-			case opAllReduceCompressed:
-				ph = obs.PhaseAllReduceCompressed
-			case opBroadcast:
-				ph = obs.PhaseBroadcast
-			}
-			rec.RecordSpan(g.rt.recOpsBase+int(g.class), ph, linkOf(g.class),
-				p.issueNs, rec.Now(), p.wire.Load(), g.tag, -1, -1)
-		}
-		if p.kind == opAllReduceCompressed {
-			for i, r := range p.recons {
-				if r != nil {
-					g.rt.pool.Put(r)
-					p.recons[i] = nil
-				}
-			}
-			for i, s := range p.spl {
-				if s != nil {
-					g.rt.pool.PutSparse(s)
-					p.spl[i] = nil
-				}
-			}
+	} else {
+		p.runAllReduce(m)
+		ph = obs.PhaseAllReduce
+		if len(p.comp) > 0 {
+			ph = obs.PhaseAllReduceCompressed
 		}
 	}
+	if p.remaining.Add(-1) != 0 {
+		return
+	}
+	// Last member out: record the operation's issue→finish span — its
+	// Bytes field carries the op's full executed wire volume, so the
+	// per-link-class span sums reconcile exactly against the transport
+	// counters — and return the compressed channels' payload copies to
+	// the pool; only now is every member done reading them.
+	g := p.g
+	if rec := g.rt.rec; rec != nil {
+		rec.RecordSpan(g.rt.recOpsBase+int(g.class), ph, linkOf(g.class),
+			p.issueNs, rec.Now(), p.wire.Load(), g.tag, -1, -1)
+	}
+	pool := g.rt.pool
+	for i, s := range p.slots {
+		pool.Put(s.Payload)
+		pool.PutSparse(s.Sparse)
+		p.slots[i] = Part{}
+	}
+	for i, f := range p.spent {
+		pool.Put(f)
+		p.spent[i] = nil
+	}
+	p.spent = p.spent[:0]
 }
 
-// chunkBytes returns chunk c's wire size at the dense element width.
-func (p *Pending) chunkBytes(c int) int64 {
-	return int64(p.offs[c+1]-p.offs[c]) * compress.ElemBytes
-}
-
-// send puts one step token on the transport and tallies the op's
-// executed wire volume.
-func (p *Pending) send(self, right int, bytes int64) {
-	p.g.rt.tr.Send(p.g.class, self, right, Msg{Bytes: bytes})
-	p.wire.Add(bytes)
+// send puts one message on the transport and tallies the op's executed
+// wire volume.
+func (p *Pending) send(self, to int, m Msg) {
+	p.g.rt.tr.Send(p.g.class, self, to, m)
+	p.wire.Add(m.Bytes)
 }
 
 // mod returns x mod d for possibly-negative x.
 func mod(x, d int) int { return ((x % d) + d) % d }
 
-// runAllReduce executes member m's ring schedule. Step tokens carry both
-// the byte accounting and the happens-before edges that make the
-// shared-memory reads race-free; the race-enabled equivalence tests
-// execute exactly this path.
+// The schedules below run unchanged over either kind of transport; they
+// differ only in where a chunk's or payload's data is. In process a
+// message is a bare step token — the data stays in the members' shared
+// buffers, and the token's channel hand-off is the happens-before edge
+// that makes reading the sender's buffer race-free (the race-enabled
+// equivalence tests execute exactly this path). Over a remote transport
+// a member can only read what arrived in a message, so the same message
+// carries the data. Either way three invariants hold, which the
+// cross-transport oracle tests pin:
+//
+//   - bit-identity: every reduction folds contributions in flat member
+//     order 0..D−1, the order of the serial reference, so results match
+//     at tolerance 0;
+//   - Stats parity: a member sends the same messages with the same
+//     modelled byte sizes on both transports (steps are booked once per
+//     op by accountSteps), so per-class Bytes, Messages and Steps —
+//     summed over a grid's processes — are equal;
+//   - issue-order determinism: every process issues the same ops in the
+//     same order, and per-(class, pair) message streams are FIFO, so
+//     in-flight ops never interleave.
+
+// runAllReduce executes member m's share of a bucket all-reduce.
 func (p *Pending) runAllReduce(m int) {
-	g := p.g
-	d := len(g.ranks)
-	tr, cls := g.rt.tr, g.class
-	self, right, left := g.ranks[m], g.ranks[mod(m+1, d)], g.ranks[mod(m-1, d)]
-
-	// Reduce-scatter rounds: at step t the ring forwards chunk (m−t).
-	for t := 0; t < d-1; t++ {
-		p.send(self, right, p.chunkBytes(mod(m-t, d)))
-		tr.Recv(cls, self, left)
+	var batchBytes int64
+	for k := range p.comp {
+		batchBytes += p.compress(m, k)
 	}
-
-	// Deterministic reduction of the owned segment (chunk m+1), in flat
-	// ring order over every member's buffer. Writes stay inside this
-	// member's segment; reads of other buffers touch only that segment,
-	// which no other member writes before its all-gather token arrives.
-	seg := mod(m+1, d)
-	lo, hi := p.offs[seg], p.offs[seg+1]
-	if hi > lo {
-		sum := g.rt.pool.Get(1, hi-lo)
-		vb := &p.viewB[m]
-		for _, b := range p.bufs {
-			b.SliceInto(vb, lo, hi)
-			sum.Add(vb)
-		}
-		if p.scale != 1 {
-			sum.Scale(p.scale)
-		}
-		va := &p.viewA[m]
-		p.bufs[m].SliceInto(va, lo, hi)
-		va.CopyFrom(sum)
-		g.rt.pool.Put(sum)
+	if len(p.dense) > 0 {
+		p.ringDense(m)
 	}
-
-	// All-gather rounds: chunk (m+1−t) goes right, chunk (m−t) arrives
-	// from the left member's buffer and is copied into ours.
-	for t := 0; t < d-1; t++ {
-		p.send(self, right, p.chunkBytes(mod(m+1-t, d)))
-		tr.Recv(cls, self, left)
-		c := mod(m-t, d)
-		lo, hi := p.offs[c], p.offs[c+1]
-		if hi > lo {
-			va, vb := &p.viewA[m], &p.viewB[m]
-			p.bufs[m].SliceInto(va, lo, hi)
-			p.bufs[mod(m-1, d)].SliceInto(vb, lo, hi)
-			va.CopyFrom(vb)
+	if len(p.comp) > 0 {
+		p.gatherCompressed(m, batchBytes)
+		for k := range p.comp {
+			p.fold(m, k)
 		}
 	}
 }
 
-// runAllReduceCompressed executes member m's compressed schedule:
-// compress locally, all-gather the payloads around the ring (each step
-// forwards the payload received on the previous one, so variable payload
-// sizes are accounted exactly), then reduce every rank's reconstruction
-// in flat ring order into this member's buffer.
-func (p *Pending) runAllReduceCompressed(m int) {
-	if p.sparse {
-		p.runAllReduceCompressedSparse(m)
+// runAlone is the degenerate single-member all-reduce, run at issue
+// time: scale dense channels, and compress/reconstruct compressed ones
+// locally so the error-feedback residual sequence matches the serial
+// semantics.
+func (p *Pending) runAlone() {
+	g := p.g
+	if !g.rt.local[g.ranks[0]] {
 		return
 	}
+	for _, ci := range p.dense {
+		if p.scale != 1 {
+			p.chans[ci].Bufs[0].Scale(p.scale)
+		}
+	}
+	for k, ci := range p.comp {
+		buf, ef := p.chans[ci].Bufs[0], p.chans[ci].EFs[0]
+		if p.sparse[k] {
+			pl, _ := ef.CompressWithFeedbackSparse(buf)
+			buf.Zero()
+			tensor.SpAxpyInto(buf, p.scale, &pl.Sparse)
+			g.rt.spOps.Add(1)
+			continue
+		}
+		_, recon := ef.CompressWithFeedback(buf)
+		buf.CopyFrom(recon)
+		if p.scale != 1 {
+			buf.Scale(p.scale)
+		}
+	}
+}
+
+// pieceIter walks a range of the dense channels' virtual concatenation
+// as the pieces it is made of: each piece is n consecutive elements of
+// one channel, starting at element a there and at offset off within the
+// walked range.
+type pieceIter struct {
+	p         *Pending
+	lo, hi    int
+	i         int // index into p.dense of the current piece's channel
+	a, n, off int
+}
+
+func (p *Pending) pieces(lo, hi int) pieceIter { return pieceIter{p: p, lo: lo, hi: hi} }
+
+func (it *pieceIter) next() bool {
+	it.off += it.n
+	pos := it.lo + it.off
+	if pos >= it.hi {
+		return false
+	}
+	cum := it.p.cum
+	for cum[it.i+1] <= pos {
+		it.i++
+	}
+	it.a = pos - cum[it.i]
+	it.n = min(it.hi, cum[it.i+1]) - pos
+	return true
+}
+
+// of returns member j's elements of the current piece.
+func (it *pieceIter) of(j int) []float64 {
+	return it.p.chans[it.p.dense[it.i]].Bufs[j].Data[it.a : it.a+it.n]
+}
+
+// in returns the current piece's elements of a flat image of the range.
+func (it *pieceIter) in(flat []float64) []float64 { return flat[it.off : it.off+it.n] }
+
+// sendChunk sends chunk c of the concatenation to rank `to`: a token
+// sized as the chunk in memory; over a wire, member m's copy of the
+// chunk's pieces packed into one dense part.
+func (p *Pending) sendChunk(m, to, c int) {
+	g := p.g
+	lo, hi := p.offs[c], p.offs[c+1]
+	msg := Msg{Bytes: int64(hi-lo) * compress.ElemBytes}
+	if !g.rt.remote {
+		p.send(g.ranks[m], to, msg)
+		return
+	}
+	// The transport encodes synchronously, so the packing scratch goes
+	// straight back to the pool.
+	pack := g.rt.pool.GetUninit(1, hi-lo)
+	for it := p.pieces(lo, hi); it.next(); {
+		copy(it.in(pack.Data), it.of(m))
+	}
+	msg.Payload, msg.Pooled = pack, true
+	p.send(g.ranks[m], to, msg)
+	g.rt.pool.Put(pack)
+}
+
+// seg returns the chunk member o owns in the reduce-scatter partition.
+func (p *Pending) seg(o int) int { return mod(o+1, len(p.g.ranks)) }
+
+// ringDense executes member m's dense ring over the concatenation.
+//
+// A textbook reduce-scatter folds each chunk incrementally in rotated
+// ring order (owner+1, owner+2, …) — a different floating-point addition
+// order per chunk. Here phase 1 instead hands every owner the raw copies
+// of its chunk — member m sends its untouched copy of chunk seg(o) to
+// each owner o — and the owner folds all D copies flat. What a member
+// sends is every chunk except its own: exactly the bytes and message
+// count of the ring reduce-scatter. Phase 2 is the standard ring
+// all-gather of the reduced chunks.
+func (p *Pending) ringDense(m int) {
 	g := p.g
 	d := len(g.ranks)
-	tr, cls := g.rt.tr, g.class
+	tr, cls, pool, remote := g.rt.tr, g.class, g.rt.pool, g.rt.remote
 	self, right, left := g.ranks[m], g.ranks[mod(m+1, d)], g.ranks[mod(m-1, d)]
 
-	// The reconstruction is the compressor's own scratch, overwritten by
-	// its next same-shape compression — which an in-flight successor op
-	// sharing this compressor may issue before every member here has
-	// reduced it. Ship a pooled copy instead (the SendCompressed
-	// precedent); the op's last member returns the copies to the pool.
-	pl, recon := p.efs[m].CompressWithFeedback(p.bufs[m])
-	ship := g.rt.pool.GetUninit(recon.Rows, recon.Cols) // CopyFrom writes every element
-	ship.CopyFrom(recon)
-	p.recons[m] = ship
-	wire := pl.WireBytes()
-	for t := 0; t < d-1; t++ {
-		p.send(self, right, wire)
-		wire = tr.Recv(cls, self, left).Bytes
+	// Phase 1a: one message per other owner, in ascending owner order (a
+	// fixed order keeps per-pair streams deterministic when several ops
+	// are in flight).
+	for o := 0; o < d; o++ {
+		if o != m {
+			p.sendChunk(m, g.ranks[o], p.seg(o))
+		}
 	}
 
-	buf := p.bufs[m]
-	buf.Zero()
-	for _, r := range p.recons {
-		buf.Add(r)
+	// Phase 1b: fold my chunk from every member's raw copy, in flat
+	// member order. In memory member j's message is the edge after which
+	// its buffers may be read: they hold its contribution until its own
+	// all-gather overwrites this chunk, which can only follow my first
+	// all-gather send below. Writes stay inside my chunk, which no other
+	// member reads before that send either.
+	lo, hi := p.offs[p.seg(m)], p.offs[p.seg(m)+1]
+	sum := pool.Get(1, hi-lo)
+	for j := 0; j < d; j++ {
+		if j != m {
+			msg := tr.Recv(cls, self, g.ranks[j])
+			if remote {
+				sum.Add(msg.Payload)
+				pool.Put(msg.Payload)
+				continue
+			}
+		}
+		for it := p.pieces(lo, hi); it.next(); {
+			acc := it.in(sum.Data)
+			for i, v := range it.of(j) {
+				acc[i] += v
+			}
+		}
 	}
 	if p.scale != 1 {
-		buf.Scale(p.scale)
+		sum.Scale(p.scale)
+	}
+	p.store(m, lo, hi, sum.Data)
+	pool.Put(sum)
+
+	// Phase 2: ring all-gather. Chunk (m+1−t) goes right, chunk (m−t)
+	// arrives from the left — in its message, or final in the left
+	// member's buffers once its token has.
+	for t := 0; t < d-1; t++ {
+		p.sendChunk(m, right, mod(m+1-t, d))
+		msg := tr.Recv(cls, self, left)
+		lo, hi := p.offs[mod(m-t, d)], p.offs[mod(m-t, d)+1]
+		if !remote {
+			for it := p.pieces(lo, hi); it.next(); {
+				copy(it.of(m), it.of(mod(m-1, d)))
+			}
+			continue
+		}
+		if msg.Payload == nil || len(msg.Payload.Data) != hi-lo {
+			panic(fmt.Sprintf("collective: all-gather message does not carry the %d-element chunk", hi-lo))
+		}
+		p.store(m, lo, hi, msg.Payload.Data)
+		pool.Put(msg.Payload)
+	}
+}
+
+// store writes flat, an image of elements [lo, hi) of the concatenation,
+// into member m's buffers.
+func (p *Pending) store(m, lo, hi int, flat []float64) {
+	for it := p.pieces(lo, hi); it.next(); {
+		copy(it.of(m), it.in(flat))
+	}
+}
+
+// compress runs member m's compressor of compressed channel k and parks
+// the result in its slot, returning the payload's wire size.
+//
+// Both the reconstruction and the sparse payload alias the compressor's
+// scratch, overwritten by its next same-shape compression — which an
+// in-flight successor op sharing the compressor may issue before every
+// member here has reduced it. The slot therefore holds a pooled copy
+// (the SendCompressed precedent).
+func (p *Pending) compress(m, k int) int64 {
+	g := p.g
+	ch := &p.chans[p.comp[k]]
+	buf, ef := ch.Bufs[m], ch.EFs[m]
+	slot := &p.slots[k*len(g.ranks)+m]
+	if p.sparse[k] {
+		pl, _ := ef.CompressWithFeedbackSparse(buf)
+		slot.Sparse = g.rt.pool.GetSparse(buf.Rows, buf.Cols)
+		slot.Sparse.CopyFrom(&pl.Sparse)
+		if g.rt.remote {
+			p.batch[k] = *slot
+		}
+		return pl.WireBytes()
+	}
+	pl, recon := ef.CompressWithFeedback(buf)
+	slot.Payload = g.rt.pool.GetUninit(recon.Rows, recon.Cols) // CopyFrom writes every element
+	slot.Payload.CopyFrom(recon)
+	if g.rt.remote {
+		p.batch[k] = wirePart(pl, slot.Payload)
+	}
+	return pl.WireBytes()
+}
+
+// wirePart picks a compressed payload's compact exact wire form: the
+// factor pair of a low-rank payload (valid until the compressor's next
+// same-shape compression — the transport encodes before that), and the
+// dense reconstruction of a family whose payload has no wire form.
+func wirePart(pl compress.Payload, recon *tensor.Matrix) Part {
+	if lr, ok := pl.(*compress.LowRankPayload); ok {
+		return Part{P: lr.P, Q: lr.Q}
+	}
+	return Part{Payload: recon}
+}
+
+// gatherCompressed executes member m's ring all-gather of the payload
+// batches: each step forwards the batch received on the previous one, so
+// variable payload sizes are accounted exactly. In memory the batches
+// sit in the members' slots already and, after D−1 ring steps, every
+// member's slot writes happen-before this member's reads. Over a wire
+// each received batch is filed into its sender's slots and forwarded as
+// it arrived.
+func (p *Pending) gatherCompressed(m int, batchBytes int64) {
+	g := p.g
+	d := len(g.ranks)
+	self, right, left := g.ranks[m], g.ranks[mod(m+1, d)], g.ranks[mod(m-1, d)]
+	cur := Msg{Bytes: batchBytes}
+	if g.rt.remote {
+		cur.Part, cur.More, cur.Pooled = p.batch[0], p.batch[1:], true
+	}
+	for t := 0; t < d-1; t++ {
+		p.send(self, right, cur)
+		cur = g.rt.tr.Recv(g.class, self, left)
+		if g.rt.remote {
+			p.file(cur, mod(m-1-t, d))
+		}
+	}
+}
+
+// file stores member j's received batch in its slots, multiplying factor
+// pairs back out. The factors themselves stay alive until the op ends:
+// the batch is still to be forwarded from them.
+func (p *Pending) file(msg Msg, j int) {
+	g := p.g
+	if msg.NumParts() != len(p.comp) {
+		panic(fmt.Sprintf("collective: payload batch of %d parts for %d compressed channels", msg.NumParts(), len(p.comp)))
+	}
+	for k := range p.comp {
+		part := msg.PartAt(k)
+		if part.P != nil {
+			p.spent = append(p.spent, part.P, part.Q)
+			part = Part{Payload: g.rt.reconstruct(part)}
+		}
+		if p.sparse[k] != (part.Sparse != nil) {
+			panic(fmt.Sprintf("collective: payload batch part %d has the wrong form", k))
+		}
+		p.slots[k*len(g.ranks)+j] = part
 	}
 }
 
@@ -534,47 +798,40 @@ func (p *Pending) runAllReduceCompressed(m int) {
 // the crossover test drives an op across the cap to pin both sides).
 const SparseReduceCapFraction = 0.5
 
-// runAllReduceCompressedSparse is the sparse-native twin of
-// runAllReduceCompressed: ship the compressed index/value payload
-// itself (no dense reconstruction anywhere), then reduce by merge-union
-// in flat ring order — per coordinate, the same left-to-right addition
-// sequence as the densified oracle, hence bit-identical at tol 0.
-func (p *Pending) runAllReduceCompressedSparse(m int) {
+// fold reduces compressed channel k's D slots, in flat member order,
+// into member m's buffer. A dense-reconstruction channel sums them; a
+// sparse-native one reduces by merge-union — per coordinate the same
+// left-to-right addition sequence as the densified oracle, hence
+// bit-identical at tol 0 — with no dense reconstruction anywhere.
+func (p *Pending) fold(m, k int) {
 	g := p.g
 	d := len(g.ranks)
-	tr, cls := g.rt.tr, g.class
 	pool := g.rt.pool
-	self, right, left := g.ranks[m], g.ranks[mod(m+1, d)], g.ranks[mod(m-1, d)]
-
-	// Like the dense path's reconstruction, the payload aliases the
-	// compressor's scratch; ship a pooled copy so an in-flight successor
-	// op on the same compressor cannot clobber it. The op's last member
-	// returns the copies to the pool.
-	pl, _ := p.efs[m].CompressWithFeedbackSparse(p.bufs[m])
-	ship := pool.GetSparse(p.bufs[m].Rows, p.bufs[m].Cols)
-	ship.CopyFrom(&pl.Sparse)
-	p.spl[m] = ship
-	wire := pl.WireBytes()
-	for t := 0; t < d-1; t++ {
-		p.send(self, right, wire)
-		wire = tr.Recv(cls, self, left).Bytes
+	buf := p.chans[p.comp[k]].Bufs[m]
+	slots := p.slots[k*d : (k+1)*d]
+	buf.Zero()
+	if !p.sparse[k] {
+		for _, s := range slots {
+			buf.Add(s.Payload)
+		}
+		if p.scale != 1 {
+			buf.Scale(p.scale)
+		}
+		return
 	}
 
-	// After d−1 ring steps every member's payload write happens-before
-	// this point (the same token chain the dense path relies on). All
-	// members see the same payloads, so the cap decision is uniform.
-	buf := p.bufs[m]
+	// All members see the same payloads, so the cap decision is uniform
+	// (member 0 books it: once per channel, in whichever process runs it).
 	total := 0
-	for _, sp := range p.spl {
-		total += sp.NNZ()
+	for _, s := range slots {
+		total += s.Sparse.NNZ()
 	}
 	if float64(total) > SparseReduceCapFraction*float64(buf.NumElements()) {
 		if m == 0 {
 			g.rt.spFallbacks.Add(1)
 		}
-		buf.Zero()
-		for _, sp := range p.spl {
-			tensor.SpAxpyInto(buf, 1, sp)
+		for _, s := range slots {
+			tensor.SpAxpyInto(buf, 1, s.Sparse)
 		}
 		if p.scale != 1 {
 			buf.Scale(p.scale)
@@ -585,16 +842,15 @@ func (p *Pending) runAllReduceCompressedSparse(m int) {
 		g.rt.spOps.Add(1)
 	}
 	sa, sb := pool.GetSparse(buf.Rows, buf.Cols), pool.GetSparse(buf.Rows, buf.Cols)
-	cur, next := p.spl[0], sa
-	for i := 1; i < d; i++ {
-		tensor.MergeUnionInto(next, cur, p.spl[i])
+	cur, next := slots[0].Sparse, sa
+	for _, s := range slots[1:] {
+		tensor.MergeUnionInto(next, cur, s.Sparse)
 		if next == sa {
 			cur, next = sa, sb
 		} else {
 			cur, next = sb, sa
 		}
 	}
-	buf.Zero()
 	tensor.SpAxpyInto(buf, p.scale, cur)
 	pool.PutSparse(sa)
 	pool.PutSparse(sb)
@@ -605,14 +861,23 @@ func (p *Pending) runAllReduceCompressedSparse(m int) {
 func (p *Pending) runBroadcast(m int) {
 	g := p.g
 	d := len(g.ranks)
-	tr, cls := g.rt.tr, g.class
 	self, right, left := g.ranks[m], g.ranks[mod(m+1, d)], g.ranks[mod(m-1, d)]
+	bufs := p.chans[0].Bufs
 	rel := mod(m-p.root, d)
 	if rel > 0 {
-		tr.Recv(cls, self, left)
-		p.bufs[m].CopyFrom(p.bufs[mod(m-1, d)])
+		msg := g.rt.tr.Recv(g.class, self, left)
+		if g.rt.remote {
+			bufs[m].CopyFrom(msg.Payload)
+			g.rt.pool.Put(msg.Payload)
+		} else {
+			bufs[m].CopyFrom(bufs[mod(m-1, d)])
+		}
 	}
 	if rel < d-1 {
-		p.send(self, right, p.opBytes)
+		msg := Msg{Bytes: p.opBytes}
+		if g.rt.remote {
+			msg.Payload, msg.Pooled = bufs[m], true
+		}
+		p.send(self, right, msg)
 	}
 }

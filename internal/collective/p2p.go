@@ -17,24 +17,31 @@ import (
 // mutate it afterwards (the channel handoff is the happens-before edge
 // that makes the receiver's reads race-free).
 func (r *Runtime) Send(c Class, from, to int, t *tensor.Matrix) {
-	r.tr.SendP2P(c, from, to, Msg{Bytes: t.SizeBytes(compress.ElemBytes), Payload: t})
+	r.tr.SendP2P(c, from, to, Msg{Bytes: t.SizeBytes(compress.ElemBytes), Part: Part{Payload: t}})
 }
 
 // SendCompressed compresses t through ef — the per-boundary error-
 // feedback compressor whose residual is the paper's lazy error
-// propagation (§5.1) — and ships the dense reconstruction to the
-// receiver, accounting only the payload's wire bytes. The reconstruction
-// travels in a buffer borrowed from the runtime's pool; Recv reports it
-// as pooled and the receiver must Put it back once consumed. The second
-// return value is ef's own reconstruction scratch (valid until ef's next
-// same-shape compression), exposed so callers can record compression
-// statistics without recomputing it.
+// propagation (§5.1) — and ships the result to the receiver, accounting
+// only the payload's wire bytes. In process the dense reconstruction
+// travels, in a buffer borrowed from the runtime's pool; over a remote
+// transport the payload travels in its compact exact form (see
+// wirePart — a low-rank payload as its factor pair), encoded straight
+// from the compressor's scratch. Either way Recv hands the receiver the
+// same pooled dense tensor, which it must Put back once consumed. The
+// second return value is ef's own reconstruction scratch (valid until
+// ef's next same-shape compression), exposed so callers can record
+// compression statistics without recomputing it.
 func (r *Runtime) SendCompressed(c Class, from, to int, t *tensor.Matrix, ef *compress.ErrorFeedback) (wire int64, recon *tensor.Matrix) {
 	pl, recon := ef.CompressWithFeedback(t)
 	wire = pl.WireBytes()
+	if r.remote {
+		r.tr.SendP2P(c, from, to, Msg{Bytes: wire, Part: wirePart(pl, recon), Pooled: true})
+		return wire, recon
+	}
 	ship := r.pool.GetUninit(recon.Rows, recon.Cols) // CopyFrom writes every element
 	ship.CopyFrom(recon)
-	r.tr.SendP2P(c, from, to, Msg{Bytes: wire, Payload: ship, Pooled: true})
+	r.tr.SendP2P(c, from, to, Msg{Bytes: wire, Part: Part{Payload: ship}, Pooled: true})
 	return wire, recon
 }
 
@@ -52,28 +59,50 @@ func (r *Runtime) SendCompressedSparse(c Class, from, to int, t *tensor.Matrix, 
 	if !ok {
 		return 0, false
 	}
-	// The payload aliases ef's scratch; ship a pooled copy (the
-	// SendCompressed precedent). Recv returns it to the pool.
-	ship := r.pool.GetSparse(t.Rows, t.Cols)
-	ship.CopyFrom(&pl.Sparse)
 	wire = pl.WireBytes()
-	r.tr.SendP2P(c, from, to, Msg{Bytes: wire, Sparse: ship})
+	ship := &pl.Sparse
+	if !r.remote {
+		// The payload aliases ef's scratch; hand over a pooled copy (the
+		// SendCompressed precedent), which Recv returns to the pool. A
+		// remote transport has encoded it by the time SendP2P returns.
+		ship = r.pool.GetSparse(t.Rows, t.Cols)
+		ship.CopyFrom(&pl.Sparse)
+	}
+	r.tr.SendP2P(c, from, to, Msg{Bytes: wire, Part: Part{Sparse: ship}})
 	return wire, true
 }
 
 // Recv blocks until the next point-to-point tensor from rank `from`
 // arrives at rank `to` on class c. pooled reports that the tensor was
 // borrowed from the runtime's pool (a SendCompressed reconstruction) and
-// must be returned with Pool().Put once consumed. A sparse-native
-// payload (SendCompressedSparse) is densified here into a pooled buffer
-// — receivers see the identical dense tensor whichever path sent it.
+// must be returned with Pool().Put once consumed. A payload that
+// travelled in compact form — sparse index/value pairs, low-rank factors
+// — is expanded here into a pooled buffer: receivers see the identical
+// dense tensor whichever path and transport sent it.
 func (r *Runtime) Recv(c Class, to, from int) (m *tensor.Matrix, pooled bool) {
 	msg := r.tr.RecvP2P(c, to, from)
-	if msg.Sparse != nil {
+	switch {
+	case msg.Sparse != nil:
 		dst := r.pool.GetUninit(msg.Sparse.Rows, msg.Sparse.Cols)
 		msg.Sparse.DensifyInto(dst)
 		r.pool.PutSparse(msg.Sparse)
 		return dst, true
+	case msg.P != nil:
+		dst := r.reconstruct(msg.Part)
+		r.pool.Put(msg.P)
+		r.pool.Put(msg.Q)
+		return dst, true
 	}
 	return msg.Payload, msg.Pooled
+}
+
+// reconstruct multiplies a factor pair back out into a pooled buffer
+// with the kernel PowerSGD.DecompressInto runs on the sender — a
+// stateless function of the factors' float64 bits, which the frame
+// carried exactly, so the result is the sender's reconstruction bit for
+// bit.
+func (r *Runtime) reconstruct(p Part) *tensor.Matrix {
+	dst := r.pool.GetUninit(p.P.Rows, p.Q.Rows) // the kernel writes every element
+	tensor.MatMulBTInto(dst, p.P, p.Q)
+	return dst
 }

@@ -19,9 +19,9 @@ type Runtime struct {
 	tr   Transport
 	pool *tensor.Pool
 
-	// remote selects the wire execution paths: group collectives ship
-	// chunk and payload data inside messages instead of reading peer
-	// buffers through shared memory.
+	// remote makes the collectives ship chunk and payload data inside
+	// their messages instead of reading peer buffers through shared
+	// memory (the transport's Remote()).
 	remote bool
 	// local[r] reports whether rank r executes in this process. All true
 	// over an in-process transport; exactly one true over a remote one

@@ -1,10 +1,12 @@
 package collective
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,7 +37,7 @@ import (
 // fp16 bytes, messages, and steps of each send — so a grid's aggregated
 // socket Stats are bit-equal to the in-memory oracle's. FrameBytes
 // separately tallies the bytes actually written to the wire (headers +
-// float64 payload images).
+// the parts' float64 images, each in its compact exact form).
 type SocketTransport struct {
 	cfg   SocketConfig
 	rank  int
@@ -84,9 +86,11 @@ type SocketConfig struct {
 	// DialTimeout bounds the whole rendezvous (listen, dial-with-retry,
 	// handshake, inbound registration). 0 means 30s.
 	DialTimeout time.Duration
-	// IOTimeout is the per-frame read/write deadline. It must exceed the
-	// longest legitimate link-idle period (a rank's compute phase between
-	// communication calls). 0 means 2 minutes.
+	// IOTimeout bounds every wait on a stream: for the next bytes of an
+	// inbound stream (between frames or inside one) and for one frame's
+	// write. It must exceed the longest legitimate link-idle period (a
+	// rank's compute phase between communication calls). 0 means 2
+	// minutes.
 	IOTimeout time.Duration
 }
 
@@ -362,33 +366,62 @@ func (t *SocketTransport) handshakeIn(conn net.Conn) (from int, err error) {
 	return from, nil
 }
 
+// deadlineReader arms the stream's read deadline before every read that
+// actually reaches the socket — once per wait for bytes, none at all for
+// a frame the buffered reader already holds.
+type deadlineReader struct {
+	conn    net.Conn
+	timeout time.Duration
+}
+
+func (r deadlineReader) Read(p []byte) (int, error) {
+	r.conn.SetReadDeadline(time.Now().Add(r.timeout))
+	return r.conn.Read(p)
+}
+
+const (
+	// readStep bounds how far a frame's body buffer grows ahead of the
+	// bytes that have actually arrived, so a lying length prefix costs
+	// one step, not the gigabyte it claims.
+	readStep = 64 << 10
+	// readBuffer sizes each inbound stream's buffered reader: a typical
+	// frame's header and body — and any frames queued behind it — come
+	// out of one read (a larger body is read straight into its buffer).
+	readBuffer = 16 << 10
+)
+
 // readLoop decodes frames from one inbound stream and routes them to
 // their mailboxes until the stream or transport closes.
 func (t *SocketTransport) readLoop(conn net.Conn, from int) {
 	defer t.wg.Done()
 	defer conn.Close()
+	br := bufio.NewReaderSize(deadlineReader{conn, t.cfg.ioTimeout()}, readBuffer)
 	var lenBuf [4]byte
 	for {
-		conn.SetReadDeadline(time.Now().Add(t.cfg.ioTimeout()))
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			if err != io.EOF {
 				t.fail(fmt.Errorf("collective: rank %d: read from rank %d: %w", t.rank, from, err))
 			}
 			return
 		}
-		n := binary.LittleEndian.Uint32(lenBuf[:])
+		n := int(binary.LittleEndian.Uint32(lenBuf[:]))
 		if n > maxFrameBody {
 			t.fail(fmt.Errorf("collective: rank %d: frame of %d bytes from rank %d exceeds limit", t.rank, n, from))
 			return
 		}
-		body := t.getBuf(int(n))
-		conn.SetReadDeadline(time.Now().Add(t.cfg.ioTimeout()))
-		if _, err := io.ReadFull(conn, body); err != nil {
-			t.fail(fmt.Errorf("collective: rank %d: frame body from rank %d: %w", t.rank, from, err))
-			return
+		fb := t.getBuf()
+		body := (*fb)[:0]
+		for len(body) < n {
+			have, step := len(body), min(n-len(body), readStep)
+			body = slices.Grow(body, step)[:have+step]
+			if _, err := io.ReadFull(br, body[have:]); err != nil {
+				t.fail(fmt.Errorf("collective: rank %d: frame body from rank %d: %w", t.rank, from, err))
+				return
+			}
 		}
 		h, m, err := decodeFrameBody(body, t.world, t.pool.Load())
-		t.putBuf(body)
+		*fb = body
+		t.putBuf(fb)
 		if err != nil {
 			t.fail(fmt.Errorf("collective: rank %d: frame from rank %d: %w", t.rank, from, err))
 			return
@@ -421,18 +454,20 @@ func (t *SocketTransport) fail(err error) {
 	})
 }
 
-// getBuf borrows a byte buffer of at least n bytes, length n.
-func (t *SocketTransport) getBuf(n int) []byte {
-	if p, ok := t.bufs.Get().(*[]byte); ok && cap(*p) >= n {
-		return (*p)[:n]
+// getBuf borrows an empty frame buffer. The box travels with its buffer
+// — through the writer queue and back through putBuf — so recycling
+// allocates nothing, and a buffer that grew keeps its capacity.
+func (t *SocketTransport) getBuf() *[]byte {
+	if fb, ok := t.bufs.Get().(*[]byte); ok {
+		return fb
 	}
-	return make([]byte, n)
+	return new([]byte)
 }
 
 // putBuf returns a buffer for reuse.
-func (t *SocketTransport) putBuf(b []byte) {
-	b = b[:0]
-	t.bufs.Put(&b)
+func (t *SocketTransport) putBuf(fb *[]byte) {
+	*fb = (*fb)[:0]
+	t.bufs.Put(fb)
 }
 
 // SetDecodePool routes decoded payload tensors (pooled dense frames,
@@ -450,9 +485,8 @@ func (t *SocketTransport) World() int { return t.world }
 func (t *SocketTransport) LocalRank() int { return t.rank }
 
 // FrameBytes returns the total bytes actually framed onto the wire by
-// this rank's sends (headers plus float64 payload images) — the
-// transport-bench's honest wire volume, distinct from the modelled fp16
-// Stats bytes.
+// this rank's sends (headers plus the parts' float64 images) — the
+// honest wire volume, distinct from the modelled fp16 Stats bytes.
 func (t *SocketTransport) FrameBytes() int64 { return t.frameBytes.Load() }
 
 func (t *SocketTransport) checkClass(c Class) {
@@ -473,19 +507,19 @@ func (t *SocketTransport) post(c Class, kind frameKind, from, to int, m Msg) {
 	if from != t.rank {
 		panic(fmt.Sprintf("collective: rank %d sending as rank %d", t.rank, from))
 	}
-	buf := t.getBuf(0)
-	buf = appendFrame(buf, c, kind, from, to, m)
-	t.frameBytes.Add(int64(len(buf)))
+	fb := t.getBuf()
+	*fb = appendFrame(*fb, c, kind, from, to, m)
+	t.frameBytes.Add(int64(len(*fb)))
 	if to == t.rank {
-		h, dm, err := decodeFrameBody(buf[4:], t.world, t.pool.Load())
+		h, dm, err := decodeFrameBody((*fb)[4:], t.world, t.pool.Load())
 		if err != nil {
 			panic(fmt.Sprintf("collective: self-send frame round-trip: %v", err))
 		}
-		t.putBuf(buf)
+		t.putBuf(fb)
 		t.mbox[h.class][h.kind][from].push(dm)
 		return
 	}
-	t.out[to].enqueue(buf)
+	t.out[to].enqueue(fb)
 }
 
 // Send implements Transport: the ring-step twin of MemTransport.Send,
@@ -605,7 +639,7 @@ type sockWriter struct {
 	conn    net.Conn
 	mu      sync.Mutex
 	cond    *sync.Cond
-	q       [][]byte
+	q       fifo[*[]byte]
 	closed  bool
 	failed  bool
 	started bool // run() owns the conn once started; close() owns it before
@@ -619,13 +653,13 @@ func newSockWriter(t *SocketTransport, conn net.Conn) *sockWriter {
 
 // enqueue appends one framed message. The buffer's ownership passes to
 // the writer (it is recycled after the write).
-func (w *sockWriter) enqueue(buf []byte) {
+func (w *sockWriter) enqueue(fb *[]byte) {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		panic("collective: send on closed socket transport")
 	}
-	w.q = append(w.q, buf)
+	w.q.push(fb)
 	w.mu.Unlock()
 	w.cond.Signal()
 }
@@ -651,25 +685,23 @@ func (w *sockWriter) run() {
 	defer w.conn.Close()
 	for {
 		w.mu.Lock()
-		for len(w.q) == 0 && !w.closed {
+		for w.q.len() == 0 && !w.closed {
 			w.cond.Wait()
 		}
-		if len(w.q) == 0 {
+		if w.q.len() == 0 {
 			w.mu.Unlock()
 			return
 		}
-		buf := w.q[0]
-		w.q[0] = nil
-		w.q = w.q[1:]
+		fb := w.q.pop()
 		failed := w.failed
 		w.mu.Unlock()
 		if failed {
-			w.t.putBuf(buf)
+			w.t.putBuf(fb)
 			continue // drain without writing after a failure
 		}
 		w.conn.SetWriteDeadline(time.Now().Add(w.t.cfg.ioTimeout()))
-		_, err := w.conn.Write(buf)
-		w.t.putBuf(buf)
+		_, err := w.conn.Write(*fb)
+		w.t.putBuf(fb)
 		if err != nil {
 			w.mu.Lock()
 			w.failed = true
@@ -685,7 +717,7 @@ func (w *sockWriter) run() {
 type mailbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	q    []Msg
+	q    fifo[Msg]
 	err  error
 }
 
@@ -697,7 +729,7 @@ func newMailbox() *mailbox {
 
 func (b *mailbox) push(m Msg) {
 	b.mu.Lock()
-	b.q = append(b.q, m)
+	b.q.push(m)
 	b.mu.Unlock()
 	b.cond.Signal()
 }
@@ -707,17 +739,15 @@ func (b *mailbox) push(m Msg) {
 // contract (a misrouted or corrupt stream is unrecoverable).
 func (b *mailbox) pop() Msg {
 	b.mu.Lock()
-	for len(b.q) == 0 && b.err == nil {
+	for b.q.len() == 0 && b.err == nil {
 		b.cond.Wait()
 	}
-	if len(b.q) == 0 {
+	if b.q.len() == 0 {
 		err := b.err
 		b.mu.Unlock()
 		panic(fmt.Sprintf("collective: receive on failed socket transport: %v", err))
 	}
-	m := b.q[0]
-	b.q[0] = Msg{}
-	b.q = b.q[1:]
+	m := b.q.pop()
 	b.mu.Unlock()
 	return m
 }
@@ -727,4 +757,35 @@ func (b *mailbox) fail(err error) {
 	b.err = err
 	b.mu.Unlock()
 	b.cond.Broadcast()
+}
+
+// fifo is an unbounded queue over a ring that doubles when full, so a
+// queue that drains as fast as it fills stops allocating once it has
+// reached its working depth.
+type fifo[T any] struct {
+	buf     []T
+	head, n int
+}
+
+func (q *fifo[T]) len() int { return q.n }
+
+func (q *fifo[T]) push(v T) {
+	if q.n == len(q.buf) {
+		grown := make([]T, max(4, 2*len(q.buf)))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = v
+	q.n++
+}
+
+// pop removes the oldest element; the queue must be non-empty.
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.buf[q.head]
+	q.buf[q.head] = zero // drop the reference
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return v
 }

@@ -1,12 +1,14 @@
 package collective
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -111,7 +113,7 @@ func TestSocketFrameExchange(t *testing.T) {
 			// Pooled marker survives.
 			dense := tensor.New(3, 4)
 			fillSeq(dense)
-			trs[0].Send(ClassEmb, 0, 1, Msg{Bytes: 24, Payload: dense, Pooled: true})
+			trs[0].Send(ClassEmb, 0, 1, Msg{Bytes: 24, Part: Part{Payload: dense}, Pooled: true})
 			got := trs[1].Recv(ClassEmb, 1, 0)
 			if got.Bytes != 24 || !got.Pooled || got.Payload == nil || !got.Payload.Equal(dense, 0) {
 				t.Fatalf("dense payload mangled: %+v", got)
@@ -119,14 +121,14 @@ func TestSocketFrameExchange(t *testing.T) {
 
 			// Sparse point-to-point payload.
 			sp := testSparse(3, 4, []int{1, 5, 11}, []float64{-1, 2.5, 3})
-			trs[2].SendP2P(ClassPP, 2, 0, Msg{Bytes: 36, Sparse: sp})
+			trs[2].SendP2P(ClassPP, 2, 0, Msg{Bytes: 36, Part: Part{Sparse: sp}})
 			gotP := trs[0].RecvP2P(ClassPP, 0, 2)
 			if gotP.Sparse == nil || gotP.Sparse.NNZ() != 3 || gotP.Sparse.Indices[2] != 11 || gotP.Sparse.Values[1] != 2.5 {
 				t.Fatalf("sparse payload mangled: %+v", gotP)
 			}
 
 			// Self-send loops back through the codec.
-			trs[1].Send(ClassPP, 1, 1, Msg{Bytes: 7, Payload: dense})
+			trs[1].Send(ClassPP, 1, 1, Msg{Bytes: 7, Part: Part{Payload: dense}})
 			if got := trs[1].Recv(ClassPP, 1, 1); got.Bytes != 7 || !got.Payload.Equal(dense, 0) {
 				t.Fatal("self-send mangled")
 			}
@@ -280,15 +282,17 @@ func TestSocketRendezvousTimeout(t *testing.T) {
 // TestSocketHandshakeRejects pins the inbound handshake validation: a
 // stream announcing garbage is closed without an ack.
 func TestSocketHandshakeRejects(t *testing.T) {
-	addrs, _ := socketAddrs(t, "unix", 1)
-	tr, err := NewSocketTransport(SocketConfig{Network: "unix", Rank: 0, World: 1, Addrs: addrs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-
+	// A fresh listener per case: the accept loop stops at its first bad
+	// handshake, so a second probe of the same transport would "pass" by
+	// never being accepted at all.
 	expectReject := func(name string, hs []byte) {
 		t.Helper()
+		addrs, _ := socketAddrs(t, "unix", 1)
+		tr, err := NewSocketTransport(SocketConfig{Network: "unix", Rank: 0, World: 1, Addrs: addrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
 		conn, err := net.Dial("unix", addrs[0])
 		if err != nil {
 			t.Fatal(err)
@@ -313,6 +317,44 @@ func TestSocketHandshakeRejects(t *testing.T) {
 	wrongWorld[4] = wireVersion
 	wrongWorld[5] = 9 // world 9, expected 1
 	expectReject("wrong world", wrongWorld)
+}
+
+// TestSocketHandshakeRefusesWireVersion1 pins the version gate on its
+// own: the handshake a rank-1 peer of a 2-rank world would send is acked
+// at wireVersion and refused — unacked, naming the version — when it
+// announces version 1, whose frames (flag-selected single payloads, dense
+// reconstructions) this decoder no longer reads.
+func TestSocketHandshakeRefusesWireVersion1(t *testing.T) {
+	victim := &SocketTransport{rank: 0, world: 2}
+	for _, version := range []byte{wireVersion, 1} {
+		ours, theirs := net.Pipe()
+		var hs [handshakeLen]byte
+		copy(hs[:4], sockMagic[:])
+		hs[4] = version
+		binary.LittleEndian.PutUint32(hs[5:], 2)  // world
+		binary.LittleEndian.PutUint32(hs[9:], 1)  // from
+		binary.LittleEndian.PutUint32(hs[13:], 0) // to
+		acked := make(chan bool, 1)
+		go func() {
+			theirs.Write(hs[:])
+			var ack [1]byte
+			_, err := io.ReadFull(theirs, ack[:])
+			acked <- err == nil && ack[0] == handshakeAck
+		}()
+		from, err := victim.handshakeIn(ours)
+		ours.Close()
+		got := <-acked
+		theirs.Close()
+		if version == wireVersion {
+			if err != nil || from != 1 || !got {
+				t.Fatalf("current version: from %d, acked %v, err %v", from, got, err)
+			}
+			continue
+		}
+		if err == nil || got || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version-1 handshake: acked %v, err %v", got, err)
+		}
+	}
 }
 
 // TestSocketCloseIdempotent pins the clean-shutdown contract: queued

@@ -37,30 +37,61 @@ func (c Class) String() string {
 // Classes lists every link class (for iteration in reports).
 func Classes() []Class { return []Class{ClassDP, ClassPP, ClassEmb} }
 
-// Msg is one transport message. On the ring collectives it is a step
-// token announcing that a chunk of the sender's buffer is final, sized as
-// it would be on a wire: the data itself stays in shared memory, and the
-// token carries the accounting and — through the channel it travels on —
-// the happens-before edge that makes reading the sender's buffer safe.
-// On point-to-point sends the message additionally hands the payload
-// tensor itself to the receiver.
-type Msg struct {
-	Bytes int64 // wire size this message represents
-	// Payload is the in-process tensor handed over on point-to-point
-	// sends (nil on ring step tokens, where data moves through shared
-	// buffers). Ownership transfers to the receiver.
+// Part is one payload of a message in its compact exact form. At most
+// one form is set: a dense float64 image, a sparse index/value view, or
+// a low-rank factor pair whose reconstruction P·Qᵀ the receiver rebuilds
+// with the same stateless tensor.MatMulBTInto the sender's decompressor
+// ran — the same bits from a fraction of the elements.
+type Part struct {
+	// Payload is the dense tensor. In process, ownership transfers to the
+	// receiver.
 	Payload *tensor.Matrix
-	// Pooled marks a payload borrowed from the sender's workspace pool;
-	// the receiver must Put it back once it has been consumed.
-	Pooled bool
-	// Sparse is the sparse-native point-to-point payload (SendCompressedSparse):
-	// index/value pairs in place of a dense tensor, always borrowed from the
-	// sender's pool. Runtime.Recv densifies it transparently, so receivers
-	// see the same pooled dense tensor either way.
+	// Sparse is the sparse-native payload: index/value pairs in place of
+	// a dense tensor, always pool-borrowed on the receiving side.
 	Sparse *tensor.Sparse
+	// P (rows×r) and Q (cols×r) are the low-rank factors, always
+	// pool-borrowed on the receiving side.
+	P, Q *tensor.Matrix
 }
 
-// Transport moves step tokens between ranks and accounts the traffic per
+// Msg is one transport message. On the in-memory ring collectives it is
+// a step token announcing that a chunk of the sender's buffer is final,
+// sized as it would be on a wire: the data itself stays in shared
+// memory, and the token carries the accounting and — through the channel
+// it travels on — the happens-before edge that makes reading the
+// sender's buffer safe. Point-to-point sends, and every message of a
+// remote transport, additionally carry the data: the embedded Part is
+// the message's first (usually only) payload, More the rest of a batch —
+// a compressed all-gather step ships one part per compressed channel of
+// its bucket in one message.
+type Msg struct {
+	Bytes int64 // wire size this message represents
+	Part
+	// Pooled marks dense payloads borrowed from the sender's workspace
+	// pool; the receiver must Put them back once consumed. (Sparse and
+	// factor parts are always pooled.)
+	Pooled bool
+	// More holds the batch's further parts, in batch order after Part.
+	More []Part
+}
+
+// NumParts returns how many payload parts the message carries.
+func (m *Msg) NumParts() int {
+	if m.Part == (Part{}) {
+		return 0
+	}
+	return 1 + len(m.More)
+}
+
+// PartAt returns payload part i of the batch.
+func (m *Msg) PartAt(i int) Part {
+	if i == 0 {
+		return m.Part
+	}
+	return m.More[i-1]
+}
+
+// Transport moves messages between ranks and accounts the traffic per
 // link class. Implementations must be safe for concurrent use by many
 // rank goroutines.
 type Transport interface {
@@ -92,9 +123,9 @@ type Transport interface {
 	AccountP2P(c Class, from, to int, bytes int64)
 	// Remote reports whether payload data must travel inside messages
 	// (serialized onto a wire) rather than through shared memory. The
-	// collective runtime selects the wire execution paths — which ship
-	// chunk and payload data in the Msg — when this is true, and keeps
-	// the zero-copy shared-buffer schedules when it is false.
+	// collective schedules attach each chunk's and payload's data to the
+	// message announcing it when this is true, and send bare step tokens
+	// over the members' shared buffers when it is false.
 	Remote() bool
 	// Stats snapshots cumulative per-class traffic.
 	Stats() Stats

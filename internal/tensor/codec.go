@@ -54,9 +54,11 @@ func DecodeMatrix(b []byte, alloc func(rows, cols int) *Matrix) (*Matrix, []byte
 		return nil, nil, fmt.Errorf("tensor: dense shape %dx%d exceeds codec limit", rows, cols)
 	}
 	b = b[8:]
+	// Compared in elements, not bytes: rows·cols can reach 2⁶², where
+	// 8·n wraps and a crafted shape would pass a byte-length check.
 	n := uint64(rows) * uint64(cols)
-	if need := 8 * n; uint64(len(b)) < need {
-		return nil, nil, fmt.Errorf("tensor: dense %dx%d body truncated: have %d of %d bytes", rows, cols, len(b), need)
+	if n > uint64(len(b))/8 {
+		return nil, nil, fmt.Errorf("tensor: dense %dx%d body truncated: have %d bytes for %d elements", rows, cols, len(b), n)
 	}
 	if alloc == nil {
 		alloc = New

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -116,6 +117,15 @@ func TestMatrixDecodeTruncatedAndCorrupt(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3}
 	if _, _, err := DecodeMatrix(huge, nil); err == nil {
 		t.Fatal("giant header decoded without error")
+	}
+	// 1824726041 × 1263665316 = 2⁶¹+4 elements: the byte length 8·n wraps
+	// to 32, exactly the body supplied, so only an element-count
+	// comparison rejects it.
+	wrap := binary.LittleEndian.AppendUint32(nil, 1824726041)
+	wrap = binary.LittleEndian.AppendUint32(wrap, 1263665316)
+	wrap = append(wrap, make([]byte, 32)...)
+	if _, _, err := DecodeMatrix(wrap, nil); err == nil {
+		t.Fatal("shape whose byte length wraps decoded without error")
 	}
 }
 

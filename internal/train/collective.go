@@ -20,21 +20,15 @@ type collectiveState struct {
 	topo collective.Topology
 	rt   *collective.Runtime
 
-	// dp[s] is stage s's data-parallel group (ranks in replica order);
-	// dpBufs[s][gi][dd] is gradient gi's buffer on replica dd, and
-	// dpEFs[s][gi] its per-rank error-feedback compressors (nil unless
-	// stage s is selected for compression and the shape is compressible).
-	dp     []*collective.Group
-	dpBufs [][][]*tensor.Matrix
-	dpEFs  [][][]*compress.ErrorFeedback
-	// buckets[s][b] lists stage s's bucket-b gradient channel indices —
-	// the plan's DP-sync bucket schedule, copied once so the per-
-	// iteration issue path never allocates. blockHandles[s] is the
-	// blocking path's per-stage handle scratch, capacity = the stage's
-	// largest bucket (stages sync on distinct goroutines at most, so a
-	// per-stage slice is race-free).
-	buckets      [][][]int
-	blockHandles [][]*collective.Pending
+	// dp[s] is stage s's data-parallel group (ranks in replica order) and
+	// buckets[s][b] the channel list of its bucket b — the plan's DP-sync
+	// bucket schedule bound to the replicas' gradient buffers, built once
+	// so the per-iteration issue path never allocates. A channel carries
+	// per-rank error-feedback compressors where the §7 selection
+	// compresses stage s and the gradient's shape is compressible, and
+	// reduces exactly otherwise.
+	dp      []*collective.Group
+	buckets [][][]collective.Channel
 
 	// embFused is the §6 fused group — (first, last) of every replica in
 	// the serial reduction order; with a single stage it degenerates to
@@ -93,39 +87,27 @@ func newCollectiveState(t *Trainer) *collectiveState {
 		rt:   collective.NewRuntime(topo, tr, t.pool),
 	}
 
-	// Per-stage DP groups with cached buffer/compressor lists and the
-	// plan's bucket schedule.
+	// Per-stage DP groups and the plan's bucket schedule as channel lists.
 	cs.dp = make([]*collective.Group, cfg.Stages)
-	cs.dpBufs = make([][][]*tensor.Matrix, cfg.Stages)
-	cs.dpEFs = make([][][]*compress.ErrorFeedback, cfg.Stages)
-	cs.buckets = make([][][]int, cfg.Stages)
-	cs.blockHandles = make([][]*collective.Pending, cfg.Stages)
+	cs.buckets = make([][][]collective.Channel, cfg.Stages)
 	for s := 0; s < cfg.Stages; s++ {
-		maxBucket := 0
-		for _, b := range t.plan.Buckets(s) {
-			cs.buckets[s] = append(cs.buckets[s], b.Channels)
-			if len(b.Channels) > maxBucket {
-				maxBucket = len(b.Channels)
-			}
-		}
-		cs.blockHandles[s] = make([]*collective.Pending, 0, maxBucket)
 		cs.dp[s] = cs.rt.NewGroup(collective.ClassDP, topo.DPGroup(s))
-		nGrads := len(t.grads[0][s])
-		cs.dpBufs[s] = make([][]*tensor.Matrix, nGrads)
-		cs.dpEFs[s] = make([][]*compress.ErrorFeedback, nGrads)
-		for gi := 0; gi < nGrads; gi++ {
-			bufs := make([]*tensor.Matrix, cfg.DPGroups)
-			for dd := 0; dd < cfg.DPGroups; dd++ {
-				bufs[dd] = t.grads[dd][s][gi]
-			}
-			cs.dpBufs[s][gi] = bufs
-			if t.plan.DPCompressed(s) && compressibleShape(bufs[0]) {
-				efs := make([]*compress.ErrorFeedback, cfg.DPGroups)
-				for dd := 0; dd < cfg.DPGroups; dd++ {
-					efs[dd] = t.dpEF(s, dd, gi) // same seeds as the serial path
+		for _, b := range t.plan.Buckets(s) {
+			chans := make([]collective.Channel, len(b.Channels))
+			for i, gi := range b.Channels {
+				ch := &chans[i]
+				ch.Bufs = make([]*tensor.Matrix, cfg.DPGroups)
+				for dd := range ch.Bufs {
+					ch.Bufs[dd] = t.grads[dd][s][gi]
 				}
-				cs.dpEFs[s][gi] = efs
+				if t.plan.DPCompressed(s) && compressibleShape(ch.Bufs[0]) {
+					ch.EFs = make([]*compress.ErrorFeedback, cfg.DPGroups)
+					for dd := range ch.EFs {
+						ch.EFs[dd] = t.dpEF(s, dd, gi) // same seeds as the serial path
+					}
+				}
 			}
+			cs.buckets[s] = append(cs.buckets[s], chans)
 		}
 	}
 
@@ -162,40 +144,22 @@ func newCollectiveState(t *Trainer) *collectiveState {
 	return cs
 }
 
-// issueChannel issues gradient channel gi of stage s as an asynchronous
-// ring all-reduce on the runtime: a compressed ring with per-rank error
-// feedback where selective stage compression applies and the shape is
-// compressible, the exact deterministic ring otherwise. Bit-identical to
-// the serial syncStageSerial whichever path runs, and whenever the
-// returned handle is waited.
-func (cs *collectiveState) issueChannel(t *Trainer, s, gi int, compressed bool) *collective.Pending {
-	d := float64(t.cfg.DPGroups)
-	bufs := cs.dpBufs[s][gi]
-	if efs := cs.dpEFs[s][gi]; compressed && efs != nil {
-		return cs.dp[s].AllReduceCompressedAsync(bufs, efs, 1/d)
-	}
-	return cs.dp[s].AllReduceAsync(bufs, 1/d)
+// issueBucket issues stage s's bucket bi as one asynchronous bucket
+// all-reduce on the runtime: one ring over its dense gradients, one
+// all-gather of its compressed ones' payloads. Bit-identical to the
+// serial syncStageSerial whenever the returned handle is waited.
+func (cs *collectiveState) issueBucket(t *Trainer, s, bi int) *collective.Pending {
+	return cs.dp[s].AllReduceBucketAsync(cs.buckets[s][bi], 1/float64(t.cfg.DPGroups))
 }
 
 // syncStageBlocking runs stage s's bucket schedule as a sequence of
-// barriers: one bucket's channels are issued together and all waited
-// before the next bucket starts — the un-overlapped baseline — recording
-// executed wire volume per bucket exactly like the overlapped path. The
-// per-bucket handle scratch is cached on the state so the steady state
-// allocates nothing.
+// barriers: each bucket is issued and waited before the next one starts
+// — the un-overlapped baseline — recording executed wire volume per
+// bucket exactly like the overlapped path.
 func (cs *collectiveState) syncStageBlocking(t *Trainer, s int) {
-	compressed := t.plan.DPCompressed(s)
-	t.exec.dp[s] = compressed
-	for bi, bucket := range cs.buckets[s] {
-		handles := cs.blockHandles[s][:0]
-		for _, gi := range bucket {
-			handles = append(handles, cs.issueChannel(t, s, gi, compressed))
-		}
-		var wire int64
-		for _, h := range handles {
-			wire += h.WaitBytes()
-		}
-		t.exec.dpBuckets[s][bi] = wire
+	t.exec.dp[s] = t.plan.DPCompressed(s)
+	for bi := range cs.buckets[s] {
+		t.exec.dpBuckets[s][bi] = cs.issueBucket(t, s, bi).WaitBytes()
 	}
 }
 

@@ -83,16 +83,21 @@ func TestDistTrainerMatchesInProcessOracle(t *testing.T) {
 		name         string
 		opt          core.Config
 		microBatches int
+		bucketBytes  int64 // 0: the default budget, one bucket per stage here
 	}{
-		{"baseline-2x4", core.Baseline(), 4},
-		{"cbfesc-2x4", cbfesc, 4},
-		{"cbfesc-2x4-m2", cbfesc, 2},
-		{"cb-topk-2x4", cbTopK, 4},
+		{"baseline-2x4", core.Baseline(), 4, 0},
+		{"cbfesc-2x4", cbfesc, 4, 0},
+		{"cbfesc-2x4-m2", cbfesc, 2, 0},
+		{"cbfesc-2x4-small-buckets", cbfesc, 4, smallBucketBudgets[1]},
+		{"cb-topk-2x4", cbTopK, 4, 0},
 	}
+	// framed[name] is the case's socket grid's summed FrameBytes.
+	framed := map[string]int64{}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig(tc.opt)
 			cfg.MicroBatches = tc.microBatches
+			cfg.BucketBytes = tc.bucketBytes
 			world := cfg.DPGroups * cfg.Stages
 			corpus := testCorpus(t)
 
@@ -200,7 +205,25 @@ func TestDistTrainerMatchesInProcessOracle(t *testing.T) {
 			if agg != memStats {
 				t.Fatalf("aggregated dist stats %+v != mem stats %+v", agg, memStats)
 			}
+			// …and on the dp class, messages and steps are the per-bucket
+			// closed form: one ring and one payload gather per bucket,
+			// however many gradients it holds.
+			msgs, steps := dpSyncClosedForm(mem)
+			if dp := agg.For(collective.ClassDP); dp.Messages != msgs*iters || dp.Steps != steps*iters {
+				t.Fatalf("dp class took %d messages in %d steps over %d iterations, the per-bucket closed form says %d in %d",
+					dp.Messages, dp.Steps, iters, msgs*iters, steps*iters)
+			}
+			for _, tr := range trs {
+				framed[tc.name] += tr.FrameBytes()
+			}
 		})
+	}
+	// Compression must win on the real wire, not only in the model: with
+	// payloads framed in factor form, the full Optimus-CC configuration
+	// writes fewer bytes to its sockets than the dense baseline does on
+	// the same grid.
+	if cb, base := framed["cbfesc-2x4"], framed["baseline-2x4"]; cb == 0 || cb >= base {
+		t.Fatalf("cbfesc framed %d bytes, the dense baseline %d", cb, base)
 	}
 }
 

@@ -13,16 +13,22 @@ import (
 // where the trainer actually does it. The compiled plan carves each
 // stage's gradients into buckets (reverse-backward order); during the
 // backward pass, the moment a stage's gradients are final on every DP
-// group, that stage's buckets are issued as asynchronous ring
-// all-reduces on the collective runtime's rank workers — which are idle
-// during the micro-batch phase — while other stages keep computing.
+// group, that stage's buckets are issued — one asynchronous bucket
+// all-reduce each — on the collective runtime's rank workers, which are
+// idle during the micro-batch phase, while other stages keep computing.
 // TrainIteration waits on every handle just before the optimizer step.
 //
+// The bucket is the unit of issue, wait, trace span and accounting. No
+// overlap is lost to fusing a bucket's channels into one operation: they
+// all become issuable at the same instant — when the stage's last rank
+// finishes backward — so there was never a moment at which one could
+// have been on the wire ahead of another.
+//
 // Bit-identity with the blocking and reference paths holds because
-// overlap changes only *when* each channel's all-reduce is issued, never
-// its deterministic flat-rank-order reduction, and each (stage, group,
-// grad) error-feedback compressor is still driven exactly once per
-// iteration.
+// neither overlap nor bucketing changes any channel's deterministic
+// flat-rank-order reduction — only when it is issued and which message
+// its pieces travel in — and each (stage, group, grad) error-feedback
+// compressor is still driven exactly once per iteration.
 
 // dpOverlap is the per-trainer coordination state.
 type dpOverlap struct {
@@ -37,10 +43,10 @@ type dpOverlap struct {
 	// sole local rank finishes (the remote members' zero-local-rank group
 	// ops complete immediately, so issue order cannot deadlock).
 	localGroups []int32
-	// handles[s] holds stage s's in-flight handles, one per synchronized
-	// gradient channel, in bucket-schedule order. Written by the stage's
-	// issuing goroutine, read by waitDPSync after every engine goroutine
-	// has joined — the engine's WaitGroup is the happens-before edge.
+	// handles[s][b] is stage s's in-flight bucket b. Written by the
+	// stage's issuing goroutine, read by waitDPSync after every engine
+	// goroutine has joined — the engine's WaitGroup is the
+	// happens-before edge.
 	handles [][]*collective.Pending
 }
 
@@ -52,11 +58,7 @@ func newDPOverlap(t *Trainer) *dpOverlap {
 		handles:     make([][]*collective.Pending, t.cfg.Stages),
 	}
 	for s := 0; s < t.cfg.Stages; s++ {
-		var n int
-		for _, b := range t.plan.Buckets(s) {
-			n += len(b.Channels)
-		}
-		ov.handles[s] = make([]*collective.Pending, n)
+		ov.handles[s] = make([]*collective.Pending, t.plan.BucketCount(s))
 		for d := 0; d < t.cfg.DPGroups; d++ {
 			if t.localRank(d, s) {
 				ov.localGroups[s]++
@@ -85,43 +87,30 @@ func (t *Trainer) dpStageReady(s int) {
 	}
 }
 
-// issueStageBuckets puts stage s's buckets on the wire, bucket by bucket
-// in the plan's reverse-backward order, recording the in-flight handles
-// for waitDPSync. Runs on whichever engine goroutine arrived last for
+// issueStageBuckets puts stage s's buckets on the wire, one operation
+// each in the plan's reverse-backward order, recording the in-flight
+// handles for waitDPSync. Runs on whichever engine goroutine arrived last for
 // this stage; stages issue on disjoint rank sets, so concurrent issuers
 // never contend.
 func (t *Trainer) issueStageBuckets(s int) {
-	cs := t.coll
-	compressed := t.plan.DPCompressed(s)
-	t.exec.dp[s] = compressed
-	k := 0
-	for _, bucket := range cs.buckets[s] {
-		for _, gi := range bucket {
-			t.ov.handles[s][k] = cs.issueChannel(t, s, gi, compressed)
-			k++
-		}
+	t.exec.dp[s] = t.plan.DPCompressed(s)
+	for bi := range t.ov.handles[s] {
+		t.ov.handles[s][bi] = t.coll.issueBucket(t, s, bi)
 	}
 }
 
-// waitDPSync drains every in-flight handle, charging each operation's
-// executed wire volume to its bucket's slot in the exec log and the
-// blocked wall time to the exposed-communication clock. Called from the
-// iteration goroutine once the engines have joined.
+// waitDPSync drains every in-flight bucket, charging its executed wire
+// volume to its slot in the exec log and the blocked wall time to the
+// exposed-communication clock. Called from the iteration goroutine once
+// the engines have joined.
 func (t *Trainer) waitDPSync() {
 	start := time.Now()
-	cs := t.coll
-	for s := range cs.buckets {
-		k := 0
-		for bi, bucket := range cs.buckets[s] {
-			var wire int64
-			for range bucket {
-				if h := t.ov.handles[s][k]; h != nil {
-					wire += h.WaitBytes()
-					t.ov.handles[s][k] = nil
-				}
-				k++
+	for s, handles := range t.ov.handles {
+		for bi, h := range handles {
+			if h != nil {
+				t.exec.dpBuckets[s][bi] = h.WaitBytes()
+				handles[bi] = nil
 			}
-			t.exec.dpBuckets[s][bi] = wire
 		}
 	}
 	t.recordDPDrain(time.Since(start).Nanoseconds())

@@ -261,11 +261,12 @@ func (t *Trainer) probeDPPayloadBytes(s, gi int) int64 {
 // and the warm-up iteration.
 func TraceCapacityFor(cfg Config, iters int) int {
 	// Busiest track candidates: an engine rank (fwd/bwd/send/codec —
-	// ≤ ~12 spans per micro-batch), a collective worker (one exec plus
-	// up to two codec spans per issued op, ops bounded by the per-stage
-	// gradient channel count ≲ 4·Blocks+8), and the per-class op tracks
-	// (one span per issued op across every group of the class). A loose
-	// affine form dominates all of them.
+	// ≤ ~12 spans per micro-batch), a collective worker (one exec span
+	// per issued op — one op per DP bucket, so at most one per gradient
+	// channel when the budget isolates each — plus up to two codec spans
+	// per compressed channel, channels per stage ≲ 4·Blocks+8), and the
+	// per-class op tracks (one span per issued op across every group of
+	// the class). A loose affine form dominates all of them.
 	spans := 12*cfg.MicroBatches + 40*cfg.Model.Blocks + 64
 	c := spans * (iters + 1)
 	if c > 1<<17 {
