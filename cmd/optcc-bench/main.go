@@ -1,25 +1,14 @@
 // Command optcc-bench regenerates the paper's tables and figures. Each
 // experiment prints a text table; -exp all regenerates everything (the
-// content of EXPERIMENTS.md's measured sections). -collective-bench
-// instead micro-benchmarks the collective runtime, -pipeline-bench the
-// 1F1B pipeline executor, -plan-bench the compiled-plan API, and
-// -overlap-bench blocking vs overlapped bucketed DP synchronization, and
-// -obs-bench the span-recorder/metrics overhead, and -autotune-bench
-// the plan-autotuner (per-candidate pricing cost plus the full
-// default-space search); all write the machine-readable perf trails
-// (BENCH_collective.json / BENCH_pipeline.json / BENCH_plan.json /
-// BENCH_overlap.json / BENCH_obs.json / BENCH_autotune.json) that CI
-// archives.
+// content of EXPERIMENTS.md's measured sections). Performance of the
+// executable stack is measured by the benchmark/ module instead
+// (bash benchmark/run.sh).
 //
 // Examples:
 //
 //	optcc-bench -exp table2
 //	optcc-bench -exp fig3 -quick
 //	optcc-bench -exp all -out results.txt
-//	optcc-bench -collective-bench -benchtime 1x -bench-out BENCH_collective.json
-//	optcc-bench -pipeline-bench -benchtime 1x -bench-out BENCH_pipeline.json
-//	optcc-bench -plan-bench -benchtime 1x -bench-out BENCH_plan.json
-//	optcc-bench -overlap-bench -bench-out BENCH_overlap.json
 package main
 
 import (
@@ -30,91 +19,13 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/prof"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: all or one of "+fmt.Sprint(experiments.Names()))
 	quick := flag.Bool("quick", false, "use short training runs (smoke test)")
 	out := flag.String("out", "", "also write results to this file")
-	collBench := flag.Bool("collective-bench", false, "run collective-runtime micro-benchmarks and write machine-readable results")
-	pipeBench := flag.Bool("pipeline-bench", false, "run 1F1B pipeline-executor benchmarks and write machine-readable results")
-	planBench := flag.Bool("plan-bench", false, "run plan-compile benchmarks (compile ns/op + allocs/op, steady-state exec allocs) and write machine-readable results")
-	overlapBench := flag.Bool("overlap-bench", false, "run blocking-vs-overlapped DP-sync benchmarks (full iterations, exposed comm time, async-handle allocs) and write machine-readable results")
-	sparseBench := flag.Bool("sparse-bench", false, "run sparse-native vs densified payload-pipeline benchmarks and write machine-readable results")
-	transportBench := flag.Bool("transport-bench", false, "run wire-transport benchmarks (8-rank all-reduce over MemTransport vs unix sockets) and write machine-readable results")
-	obsBench := flag.Bool("obs-bench", false, "run span-recorder/metrics overhead benchmarks and write machine-readable results")
-	autotuneBench := flag.Bool("autotune-bench", false, "run plan-autotuner benchmarks (per-candidate pricing cost, full default-space search) and write machine-readable results")
-	serveBench := flag.Bool("serve-bench", false, "run what-if service benchmarks (cache-hit pricing, concurrent cached/uncached/coalesced lanes, real-socket HTTP) and write machine-readable results")
-	serveTarget := flag.String("serve-target", "", "with -serve-bench: drive the HTTP lane against this externally started optcc-serve base URL (PGO-refresh flow) instead of an in-process listener")
-	benchOut := flag.String("bench-out", "", "output path for benchmark JSON (default BENCH_collective.json / BENCH_pipeline.json / BENCH_plan.json / BENCH_overlap.json / BENCH_sparse.json)")
-	benchtime := flag.String("benchtime", "1s", "per-benchmark measurement budget for the bench modes (e.g. 1s, 100x, 1x)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (feeds the -pgo=auto lane)")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
-
-	stopProfiles, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "optcc-bench:", err)
-		os.Exit(1)
-	}
-	// Check the flush: a truncated profile must not exit 0 (it would
-	// silently poison the PGO feed).
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, "optcc-bench:", err)
-			os.Exit(1)
-		}
-	}()
-
-	runBench := func(run func(io.Writer, string, string) error, defaultOut string) {
-		out := *benchOut
-		if out == "" {
-			out = defaultOut
-		}
-		if err := run(os.Stdout, out, *benchtime); err != nil {
-			fmt.Fprintln(os.Stderr, "optcc-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *collBench {
-		runBench(runCollectiveBenchmarks, "BENCH_collective.json")
-		return
-	}
-	if *pipeBench {
-		runBench(runPipelineBenchmarks, "BENCH_pipeline.json")
-		return
-	}
-	if *planBench {
-		runBench(runPlanBenchmarks, "BENCH_plan.json")
-		return
-	}
-	if *overlapBench {
-		runBench(runOverlapBenchmarks, "BENCH_overlap.json")
-		return
-	}
-	if *sparseBench {
-		runBench(runSparseBenchmarks, "BENCH_sparse.json")
-		return
-	}
-	if *transportBench {
-		runBench(runTransportBenchmarks, "BENCH_transport.json")
-		return
-	}
-	if *obsBench {
-		runBench(runObsBenchmarks, "BENCH_obs.json")
-		return
-	}
-	if *autotuneBench {
-		runBench(runAutotuneBenchmarks, "BENCH_autotune.json")
-		return
-	}
-	if *serveBench {
-		runBench(func(w io.Writer, out, bt string) error {
-			return runServeBenchmarks(w, out, bt, *serveTarget)
-		}, "BENCH_serve.json")
-		return
-	}
 
 	opts := experiments.DefaultOptions()
 	if *quick {

@@ -1,287 +1,28 @@
-// Command optcc-gate is the perf-regression gate over the repo's
-// machine-readable benchmark trails (BENCH_*.json). CI regenerates the
-// trails and fails the build when they drift from the committed
-// baselines under bench/.
-//
-// Four modes:
-//
-//	optcc-gate -check -baseline bench -fresh . [-tolerance 1.0] [-allocs-slack 1]
-//	    Compare every bench/BENCH_*.json against its freshly generated
-//	    counterpart. A row fails when its ns/op exceeds baseline by more
-//	    than the tolerance factor, its allocs/op exceed baseline by more
-//	    than the absolute slack, its sparse-vs-densified speedup falls
-//	    below half the baseline's, or the row is missing entirely.
-//	    Exit status 1 on any failure.
-//
-//	optcc-gate -merge-pgo BENCH_sparse.json -pgo BENCH_sparse_pgo.json -out merged.json
-//	    Join a default build's rows with a -pgo=auto build's rows by op
-//	    name, filling pgo_ns_op and pgo_delta_pct on each row.
-//
-//	optcc-gate -pgo-summary merged.json
-//	    Render the default-vs-PGO comparison as a Markdown table
-//	    (append to $GITHUB_STEP_SUMMARY in CI).
+// Command optcc-gate validates a Chrome trace-event JSON file
+// (optcc-train -trace / optcc-sim -trace output, or the two merged)
+// against the exporters' invariants and prints its event summary:
 //
 //	optcc-gate -validate-trace trace.json
-//	    Check a Chrome trace-event JSON file (optcc-train -trace /
-//	    optcc-sim -trace output, or the two merged) against the
-//	    exporters' invariants and print its event summary.
 //
-// Tolerance semantics: ns/op comparisons are wall-time on shared
-// runners, so the gate is a coarse guardrail, not a precision
-// instrument. The default tolerance of 1.0 allows fresh ≤ 2× baseline;
-// CI uses -tolerance 3 (≤ 4×) to absorb cross-machine and single-shot
-// variance while still catching order-of-magnitude regressions.
-// Allocation counts are machine-independent, so they gate with a
-// 1-alloc absolute slack (testing.Benchmark occasionally attributes a
-// stray allocation to short runs); real steady-state pins are enforced
-// exactly by the -race zero-alloc tests.
+// CI runs it on the archived trace artifacts, so a file that would not
+// load in Perfetto fails the build. Performance is measured by the
+// benchmark/ module (bash benchmark/run.sh), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/obs"
 )
 
-// benchRow is the subset of fields the gate inspects. Files are also
-// kept as raw maps (see loadRaw) so -merge-pgo round-trips fields the
-// gate does not know about.
-type benchRow struct {
-	Op          string  `json:"op"`
-	Mode        string  `json:"mode"`
-	NsPerOp     float64 `json:"ns_op"`
-	AllocsPerOp int64   `json:"allocs_op"`
-	Speedup     float64 `json:"speedup_vs_densified"`
-	PGONsPerOp  float64 `json:"pgo_ns_op"`
-	PGODeltaPct float64 `json:"pgo_delta_pct"`
-	// WallclockNoisy marks rows (the transport trail's socket lane, the
-	// serve trail's concurrent lanes) whose raw ns/op and allocs/op must
-	// not gate: kernel socket I/O and scheduler-dependent batching on a
-	// shared runner swing far beyond the tolerance. For those rows only
-	// the machine-portable signals gate — the socket/mem timing ratio,
-	// the exact wire accounting, the throughput floor (qps ≥ baseline/4),
-	// and the deterministic cache-hit rate.
-	WallclockNoisy bool    `json:"wallclock_noisy"`
-	RatioVsMem     float64 `json:"ratio_vs_mem"`
-	WireBytesOp    int64   `json:"wire_bytes_op"`
-	// QPS is the serve trail's throughput. Wall-clock derived, so it
-	// gates as a coarse ratio: fresh must stay above a quarter of
-	// baseline, catching order-of-magnitude serving regressions while
-	// absorbing runner variance.
-	QPS float64 `json:"qps"`
-	// CacheHitRate is machine-independent by construction (the serve
-	// lanes prime the cache and fix the request count, so the rate is
-	// exact), so it gates tightly.
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	// AllocsTight marks noisy rows whose allocs/op still gates with the
-	// normal slack (the serve cached lane: the hit path is pinned
-	// allocation-free, so its per-op allocation count stays integral-zero
-	// no matter how noisy the wall clock is).
-	AllocsTight bool `json:"allocs_tight"`
-}
-
-// key identifies a row within one trail file: the op name plus the
-// mode discriminator the overlap trail uses (empty elsewhere).
-func (r benchRow) key() string {
-	if r.Mode == "" {
-		return r.Op
-	}
-	return r.Op + "|" + r.Mode
-}
-
-func loadRows(path string) ([]benchRow, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rows []benchRow
-	if err := json.Unmarshal(data, &rows); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rows, nil
-}
-
-// loadRaw parses a trail file into ordered raw maps, preserving every
-// field for rewriting.
-func loadRaw(path string) ([]map[string]json.RawMessage, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rows []map[string]json.RawMessage
-	if err := json.Unmarshal(data, &rows); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rows, nil
-}
-
-// violation is one gate failure, phrased for a CI log.
-type violation struct {
-	File, Row, Reason string
-}
-
-func (v violation) String() string { return fmt.Sprintf("%s: %s: %s", v.File, v.Row, v.Reason) }
-
-// checkFile compares one baseline trail against its fresh counterpart.
-// tolerance is the allowed fractional ns/op growth (1.0 = fresh may be
-// 2× baseline); allocsSlack the allowed absolute allocs/op growth.
-func checkFile(name string, baseline, fresh []benchRow, tolerance float64, allocsSlack int64) []violation {
-	var out []violation
-	freshBy := make(map[string]benchRow, len(fresh))
-	for _, r := range fresh {
-		freshBy[r.key()] = r
-	}
-	for _, b := range baseline {
-		f, ok := freshBy[b.key()]
-		if !ok {
-			out = append(out, violation{name, b.key(), "row missing from fresh results (baseline coverage must not shrink)"})
-			continue
-		}
-		if b.CacheHitRate > 0 {
-			if diff := f.CacheHitRate - b.CacheHitRate; diff > 1e-3 || diff < -1e-3 {
-				out = append(out, violation{name, b.key(),
-					fmt.Sprintf("cache_hit_rate %.6f drifted from baseline %.6f (deterministic by construction, tolerance 0.001)",
-						f.CacheHitRate, b.CacheHitRate)})
-			}
-		}
-		if b.WallclockNoisy {
-			// Ratios of two same-run timings port across machines; wire
-			// accounting and the primed cache-hit rate are deterministic;
-			// qps gates as a coarse floor. These gate; raw wall clock does
-			// not, and allocs only when the row opts in via allocs_tight.
-			if b.RatioVsMem > 0 && f.RatioVsMem > b.RatioVsMem*4 {
-				out = append(out, violation{name, b.key(),
-					fmt.Sprintf("ratio_vs_mem %.1fx exceeds baseline %.1fx × 4", f.RatioVsMem, b.RatioVsMem)})
-			}
-			if b.WireBytesOp > 0 && f.WireBytesOp != b.WireBytesOp {
-				out = append(out, violation{name, b.key(),
-					fmt.Sprintf("wire_bytes_op %d != baseline %d (wire accounting must be exact)", f.WireBytesOp, b.WireBytesOp)})
-			}
-			if b.QPS > 0 && f.QPS < b.QPS/4 {
-				out = append(out, violation{name, b.key(),
-					fmt.Sprintf("qps %.0f fell below baseline %.0f / 4 (serving throughput regressed)", f.QPS, b.QPS)})
-			}
-			if b.AllocsTight && f.AllocsPerOp > b.AllocsPerOp+allocsSlack {
-				out = append(out, violation{name, b.key(),
-					fmt.Sprintf("allocs/op %d exceeds baseline %d + slack %d", f.AllocsPerOp, b.AllocsPerOp, allocsSlack)})
-			}
-			continue
-		}
-		if limit := b.NsPerOp * (1 + tolerance); f.NsPerOp > limit {
-			out = append(out, violation{name, b.key(),
-				fmt.Sprintf("ns/op %.0f exceeds baseline %.0f × %.2f = %.0f", f.NsPerOp, b.NsPerOp, 1+tolerance, limit)})
-		}
-		if f.AllocsPerOp > b.AllocsPerOp+allocsSlack {
-			out = append(out, violation{name, b.key(),
-				fmt.Sprintf("allocs/op %d exceeds baseline %d + slack %d", f.AllocsPerOp, b.AllocsPerOp, allocsSlack)})
-		}
-		// Speedup is a ratio of two same-machine timings, so it is far
-		// more portable than raw ns/op; halving it means the sparse path
-		// structurally regressed relative to the densified oracle.
-		if b.Speedup > 0 && f.Speedup < b.Speedup/2 {
-			out = append(out, violation{name, b.key(),
-				fmt.Sprintf("speedup_vs_densified %.2fx fell below half of baseline %.2fx", f.Speedup, b.Speedup)})
-		}
-	}
-	return out
-}
-
-// runCheck gates every bench/BENCH_*.json baseline against freshDir.
-func runCheck(w io.Writer, baselineDir, freshDir string, tolerance float64, allocsSlack int64) error {
-	paths, err := filepath.Glob(filepath.Join(baselineDir, "BENCH_*.json"))
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("no BENCH_*.json baselines under %s", baselineDir)
-	}
-	sort.Strings(paths)
-	var violations []violation
-	checked := 0
-	for _, bp := range paths {
-		name := filepath.Base(bp)
-		baseline, err := loadRows(bp)
-		if err != nil {
-			return err
-		}
-		fresh, err := loadRows(filepath.Join(freshDir, name))
-		if err != nil {
-			violations = append(violations, violation{name, "-", fmt.Sprintf("fresh trail unreadable: %v", err)})
-			continue
-		}
-		vs := checkFile(name, baseline, fresh, tolerance, allocsSlack)
-		violations = append(violations, vs...)
-		checked += len(baseline)
-		fmt.Fprintf(w, "gate: %-24s %3d rows, %d violations\n", name, len(baseline), len(vs))
-	}
-	if len(violations) > 0 {
-		fmt.Fprintf(w, "\nFAIL: %d violation(s) across %d baseline rows:\n", len(violations), checked)
-		for _, v := range violations {
-			fmt.Fprintf(w, "  %s\n", v)
-		}
-		return fmt.Errorf("%d benchmark regression(s)", len(violations))
-	}
-	fmt.Fprintf(w, "PASS: %d baseline rows within tolerance (ns/op ≤ %.2f×, allocs/op ≤ +%d)\n",
-		checked, 1+tolerance, allocsSlack)
-	return nil
-}
-
-// runMergePGO joins defaultPath's rows with pgoPath's by key, filling
-// the pgo_ns_op / pgo_delta_pct columns, and writes the merged trail.
-func runMergePGO(defaultPath, pgoPath, outPath string) error {
-	raw, err := loadRaw(defaultPath)
-	if err != nil {
-		return err
-	}
-	defRows, err := loadRows(defaultPath)
-	if err != nil {
-		return err
-	}
-	pgoRows, err := loadRows(pgoPath)
-	if err != nil {
-		return err
-	}
-	pgoBy := make(map[string]benchRow, len(pgoRows))
-	for _, r := range pgoRows {
-		pgoBy[r.key()] = r
-	}
-	for i, d := range defRows {
-		p, ok := pgoBy[d.key()]
-		if !ok || d.NsPerOp == 0 {
-			continue
-		}
-		ns, _ := json.Marshal(p.NsPerOp)
-		delta, _ := json.Marshal(round2((p.NsPerOp - d.NsPerOp) / d.NsPerOp * 100))
-		raw[i]["pgo_ns_op"] = ns
-		raw[i]["pgo_delta_pct"] = delta
-	}
-	data, err := json.MarshalIndent(raw, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(outPath, append(data, '\n'), 0o644)
-}
-
-func round2(v float64) float64 { return float64(int64(v*100+sign(v)*0.5)) / 100 }
-
-func sign(v float64) float64 {
-	if v < 0 {
-		return -1
-	}
-	return 1
-}
-
-// runValidateTrace checks that a Chrome trace-event JSON file (from
-// optcc-train -trace or optcc-sim -trace, or the two merged) satisfies
-// the exporters' invariants, and prints its summary — CI's guard that
-// the archived trace artifact actually loads in Perfetto.
+// runValidateTrace checks that the trace file at path satisfies the
+// exporters' invariants and holds at least one event, and prints its
+// summary.
 func runValidateTrace(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -300,61 +41,15 @@ func runValidateTrace(w io.Writer, path string) error {
 	return nil
 }
 
-// runPGOSummary renders a merged trail as a Markdown table for the CI
-// job summary.
-func runPGOSummary(w io.Writer, path string) error {
-	rows, err := loadRows(path)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "### default vs PGO (`%s`)\n\n", filepath.Base(path))
-	fmt.Fprintln(w, "| op | default ns/op | pgo ns/op | Δ% | speedup vs densified |")
-	fmt.Fprintln(w, "|---|---:|---:|---:|---:|")
-	for _, r := range rows {
-		pgoNs, delta, sp := "—", "—", "—"
-		if r.PGONsPerOp > 0 {
-			pgoNs = fmt.Sprintf("%.0f", r.PGONsPerOp)
-			delta = fmt.Sprintf("%+.2f%%", r.PGODeltaPct)
-		}
-		if r.Speedup > 0 {
-			sp = fmt.Sprintf("%.2fx", r.Speedup)
-		}
-		fmt.Fprintf(w, "| %s | %.0f | %s | %s | %s |\n", r.key(), r.NsPerOp, pgoNs, delta, sp)
-	}
-	return nil
-}
-
 func main() {
-	check := flag.Bool("check", false, "gate fresh BENCH_*.json trails against committed baselines")
-	baselineDir := flag.String("baseline", "bench", "directory holding the committed baseline trails")
-	freshDir := flag.String("fresh", ".", "directory holding the freshly generated trails")
-	tolerance := flag.Float64("tolerance", 1.0, "allowed fractional ns/op growth over baseline (1.0 = 2×)")
-	allocsSlack := flag.Int64("allocs-slack", 1, "allowed absolute allocs/op growth over baseline")
-	mergePGO := flag.String("merge-pgo", "", "default-build trail to merge PGO columns into")
-	pgoPath := flag.String("pgo", "", "PGO-build trail (with -merge-pgo)")
-	outPath := flag.String("out", "", "output path for the merged trail (with -merge-pgo)")
-	pgoSummary := flag.String("pgo-summary", "", "merged trail to render as a Markdown summary table")
 	validateTrace := flag.String("validate-trace", "", "Chrome trace-event JSON file to validate (optcc-train/optcc-sim -trace output)")
 	flag.Parse()
 
-	var err error
-	switch {
-	case *check:
-		err = runCheck(os.Stdout, *baselineDir, *freshDir, *tolerance, *allocsSlack)
-	case *mergePGO != "":
-		if *pgoPath == "" || *outPath == "" {
-			err = fmt.Errorf("-merge-pgo needs -pgo and -out")
-		} else {
-			err = runMergePGO(*mergePGO, *pgoPath, *outPath)
-		}
-	case *pgoSummary != "":
-		err = runPGOSummary(os.Stdout, *pgoSummary)
-	case *validateTrace != "":
-		err = runValidateTrace(os.Stdout, *validateTrace)
-	default:
-		err = fmt.Errorf("pick a mode: -check, -merge-pgo, -pgo-summary, or -validate-trace (see -h)")
+	if *validateTrace == "" {
+		fmt.Fprintln(os.Stderr, "optcc-gate: -validate-trace is required (see -h)")
+		os.Exit(1)
 	}
-	if err != nil {
+	if err := runValidateTrace(os.Stdout, *validateTrace); err != nil {
 		fmt.Fprintln(os.Stderr, "optcc-gate:", err)
 		os.Exit(1)
 	}

@@ -2,229 +2,59 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
-func row(op string, ns float64, allocs int64) benchRow {
-	return benchRow{Op: op, NsPerOp: ns, AllocsPerOp: allocs}
-}
-
-func TestCheckFilePassesWithinTolerance(t *testing.T) {
-	base := []benchRow{row("a", 1000, 0), row("b", 2000, 3)}
-	fresh := []benchRow{row("a", 1900, 1), row("b", 3900, 4)} // <2×, +1 alloc
-	if vs := checkFile("f", base, fresh, 1.0, 1); len(vs) != 0 {
-		t.Fatalf("expected pass, got %v", vs)
-	}
-}
-
-func TestCheckFileFlagsNsRegression(t *testing.T) {
-	base := []benchRow{row("a", 1000, 0)}
-	fresh := []benchRow{row("a", 2100, 0)}
-	vs := checkFile("f", base, fresh, 1.0, 1)
-	if len(vs) != 1 || !strings.Contains(vs[0].Reason, "ns/op") {
-		t.Fatalf("expected one ns/op violation, got %v", vs)
-	}
-}
-
-func TestCheckFileFlagsAllocRegression(t *testing.T) {
-	base := []benchRow{row("a", 1000, 0)}
-	fresh := []benchRow{row("a", 1000, 2)} // slack is 1
-	vs := checkFile("f", base, fresh, 1.0, 1)
-	if len(vs) != 1 || !strings.Contains(vs[0].Reason, "allocs/op") {
-		t.Fatalf("expected one allocs violation, got %v", vs)
-	}
-}
-
-func TestCheckFileFlagsMissingRowAndSpeedupCollapse(t *testing.T) {
-	base := []benchRow{
-		row("gone", 1000, 0),
-		{Op: "sp", NsPerOp: 1000, Speedup: 3.4},
-	}
-	fresh := []benchRow{{Op: "sp", NsPerOp: 1000, Speedup: 1.5}} // < 3.4/2
-	vs := checkFile("f", base, fresh, 1.0, 1)
-	if len(vs) != 2 {
-		t.Fatalf("expected 2 violations, got %v", vs)
-	}
-	if !strings.Contains(vs[0].Reason, "missing") || !strings.Contains(vs[1].Reason, "speedup") {
-		t.Fatalf("unexpected reasons: %v", vs)
-	}
-}
-
-func TestCheckFileNoisyRowsGateRatiosOnly(t *testing.T) {
-	noisy := func(ns float64, allocs int64, ratio float64, wire int64) benchRow {
-		return benchRow{Op: "sock", NsPerOp: ns, AllocsPerOp: allocs,
-			WallclockNoisy: true, RatioVsMem: ratio, WireBytesOp: wire}
-	}
-	base := []benchRow{noisy(1000, 5, 10, 64512)}
-
-	// Wild wall-clock and alloc swings pass as long as the portable
-	// signals hold.
-	fresh := []benchRow{noisy(50000, 900, 39, 64512)} // < 10×4
-	if vs := checkFile("f", base, fresh, 1.0, 1); len(vs) != 0 {
-		t.Fatalf("expected pass, got %v", vs)
-	}
-
-	fresh = []benchRow{noisy(1000, 5, 41, 64512)} // ratio > 10×4
-	vs := checkFile("f", base, fresh, 1.0, 1)
-	if len(vs) != 1 || !strings.Contains(vs[0].Reason, "ratio_vs_mem") {
-		t.Fatalf("expected one ratio violation, got %v", vs)
-	}
-
-	fresh = []benchRow{noisy(1000, 5, 10, 64513)} // wire accounting drift
-	vs = checkFile("f", base, fresh, 1.0, 1)
-	if len(vs) != 1 || !strings.Contains(vs[0].Reason, "wire_bytes_op") {
-		t.Fatalf("expected one wire-bytes violation, got %v", vs)
-	}
-}
-
-func TestCheckFileServeRowsGateQPSHitRateAndTightAllocs(t *testing.T) {
-	serve := func(ns float64, allocs int64, qps, hitRate float64, tight bool) benchRow {
-		return benchRow{Op: "serve/cached", NsPerOp: ns, AllocsPerOp: allocs,
-			WallclockNoisy: true, QPS: qps, CacheHitRate: hitRate, AllocsTight: tight}
-	}
-	base := []benchRow{serve(100, 0, 4_000_000, 0.999756, true)}
-
-	// Wall clock may swing wildly; qps above a quarter of baseline, the
-	// exact hit rate, and zero allocs pass.
-	fresh := []benchRow{serve(350, 0, 1_100_000, 0.999756, true)}
-	if vs := checkFile("f", base, fresh, 1.0, 1); len(vs) != 0 {
-		t.Fatalf("expected pass, got %v", vs)
-	}
-
-	fresh = []benchRow{serve(100, 0, 900_000, 0.999756, true)} // < baseline/4
-	vs := checkFile("f", base, fresh, 1.0, 1)
-	if len(vs) != 1 || !strings.Contains(vs[0].Reason, "qps") {
-		t.Fatalf("expected one qps violation, got %v", vs)
-	}
-
-	fresh = []benchRow{serve(100, 0, 4_000_000, 0.99, true)} // hit rate drifted
-	vs = checkFile("f", base, fresh, 1.0, 1)
-	if len(vs) != 1 || !strings.Contains(vs[0].Reason, "cache_hit_rate") {
-		t.Fatalf("expected one hit-rate violation, got %v", vs)
-	}
-
-	fresh = []benchRow{serve(100, 2, 4_000_000, 0.999756, true)} // hit path allocated
-	vs = checkFile("f", base, fresh, 1.0, 1)
-	if len(vs) != 1 || !strings.Contains(vs[0].Reason, "allocs/op") {
-		t.Fatalf("expected one allocs violation, got %v", vs)
-	}
-
-	// Without allocs_tight, noisy rows still tolerate alloc swings.
-	base = []benchRow{serve(100, 300, 4_000_000, 0, false)}
-	fresh = []benchRow{serve(100, 900, 4_000_000, 0, false)}
-	if vs := checkFile("f", base, fresh, 1.0, 1); len(vs) != 0 {
-		t.Fatalf("expected pass for untight noisy allocs, got %v", vs)
-	}
-}
-
-func TestCheckFileHitRateGatesOnTightRowsToo(t *testing.T) {
-	tight := func(hitRate float64) benchRow {
-		return benchRow{Op: "price/hit", NsPerOp: 100, CacheHitRate: hitRate}
-	}
-	base := []benchRow{tight(1.0)}
-	fresh := []benchRow{tight(0.9)}
-	vs := checkFile("f", base, fresh, 1.0, 1)
-	if len(vs) != 1 || !strings.Contains(vs[0].Reason, "cache_hit_rate") {
-		t.Fatalf("expected one hit-rate violation, got %v", vs)
-	}
-	if vs := checkFile("f", base, []benchRow{tight(1.0)}, 1.0, 1); len(vs) != 0 {
-		t.Fatalf("expected pass, got %v", vs)
-	}
-}
-
-func TestCheckFileModeDisambiguatesRows(t *testing.T) {
-	base := []benchRow{
-		{Op: "iter", Mode: "blocking", NsPerOp: 1000},
-		{Op: "iter", Mode: "overlapped", NsPerOp: 500},
-	}
-	fresh := []benchRow{
-		{Op: "iter", Mode: "blocking", NsPerOp: 1100},
-		{Op: "iter", Mode: "overlapped", NsPerOp: 5000}, // regressed
-	}
-	vs := checkFile("f", base, fresh, 1.0, 1)
-	if len(vs) != 1 || vs[0].Row != "iter|overlapped" {
-		t.Fatalf("expected the overlapped row to fail, got %v", vs)
-	}
-}
-
-func writeTrail(t *testing.T, path string, rows any) {
-	t.Helper()
-	data, err := json.Marshal(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunCheckEndToEnd(t *testing.T) {
-	baseDir, freshDir := t.TempDir(), t.TempDir()
-	writeTrail(t, filepath.Join(baseDir, "BENCH_x.json"), []benchRow{row("a", 1000, 0)})
-	writeTrail(t, filepath.Join(freshDir, "BENCH_x.json"), []benchRow{row("a", 1200, 0)})
-	var buf bytes.Buffer
-	if err := runCheck(&buf, baseDir, freshDir, 1.0, 1); err != nil {
-		t.Fatalf("expected pass: %v\n%s", err, buf.String())
-	}
-
-	// A missing fresh trail is a violation, not a silent skip.
-	if err := runCheck(&buf, baseDir, t.TempDir(), 1.0, 1); err == nil {
-		t.Fatal("expected failure for missing fresh trail")
-	}
-
-	// An empty baseline directory is a configuration error.
-	if err := runCheck(&buf, t.TempDir(), freshDir, 1.0, 1); err == nil {
-		t.Fatal("expected failure for missing baselines")
-	}
-}
-
-func TestMergePGOAndSummary(t *testing.T) {
+// TestValidateTrace accepts a trace written by obs.TraceEncoder and
+// rejects a trace without events and a file that is not a trace.
+func TestValidateTrace(t *testing.T) {
 	dir := t.TempDir()
-	defPath := filepath.Join(dir, "def.json")
-	pgoPath := filepath.Join(dir, "pgo.json")
-	outPath := filepath.Join(dir, "merged.json")
-	// The default trail carries a field the gate does not model; the
-	// merge must preserve it.
-	writeTrail(t, defPath, []map[string]any{
-		{"op": "a", "ns_op": 1000.0, "allocs_op": 0, "wire_bytes_op": 42, "speedup_vs_densified": 3.4},
-		{"op": "b", "ns_op": 2000.0, "allocs_op": 1},
-	})
-	writeTrail(t, pgoPath, []map[string]any{
-		{"op": "a", "ns_op": 900.0, "allocs_op": 0},
-	})
-	if err := runMergePGO(defPath, pgoPath, outPath); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := loadRows(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged[0].PGONsPerOp != 900 || merged[0].PGODeltaPct != -10 {
-		t.Fatalf("bad merge: %+v", merged[0])
-	}
-	if merged[1].PGONsPerOp != 0 {
-		t.Fatalf("row without a PGO twin must stay unfilled: %+v", merged[1])
-	}
-	raw, err := loadRaw(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := raw[0]["wire_bytes_op"]; !ok {
-		t.Fatal("merge dropped an unmodeled field")
+	write := func(name string, data []byte) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
 
+	enc := obs.NewTraceEncoder(1)
+	enc.ProcessName("executed")
+	tid := enc.Track("rank0")
+	enc.Event("fwd", "compute", 0, 5, tid)
+	enc.Event("bwd", "compute", 5, 7, tid)
 	var buf bytes.Buffer
-	if err := runPGOSummary(&buf, outPath); err != nil {
+	if err := enc.Flush(&buf); err != nil {
 		t.Fatal(err)
 	}
-	s := buf.String()
-	for _, want := range []string{"| a | 1000 | 900 | -10.00% | 3.40x |", "| b | 2000 | — | — | — |"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("summary missing %q:\n%s", want, s)
+	var out bytes.Buffer
+	if err := runValidateTrace(&out, write("good.json", buf.Bytes())); err != nil {
+		t.Fatalf("valid trace rejected: %v", err)
+	}
+	if got := out.String(); !strings.Contains(got, "2 events") || !strings.Contains(got, "compute") {
+		t.Fatalf("summary %q lacks the event count or category", got)
+	}
+
+	empty := obs.NewTraceEncoder(1)
+	empty.ProcessName("executed")
+	empty.Track("rank0")
+	buf.Reset()
+	if err := empty.Flush(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"empty.json":     buf.Bytes(),
+		"malformed.json": []byte(`[{"name": "fwd", "ph": "X"`),
+	} {
+		if err := runValidateTrace(&out, write(name, data)); err == nil {
+			t.Fatalf("%s accepted", name)
 		}
+	}
+	if err := runValidateTrace(&out, filepath.Join(dir, "missing.json")); err == nil {
+		t.Fatal("missing file accepted")
 	}
 }

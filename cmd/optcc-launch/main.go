@@ -30,8 +30,8 @@ func main() {
 	pp := flag.Int("pp", 0, "pipeline-parallel stages (0 = config default)")
 	dp := flag.Int("dp", 0, "data-parallel groups (0 = config default)")
 	transport := flag.String("transport", "unix", "wire transport between ranks: unix or tcp")
-	engine := flag.String("engine", "auto", "execution engine passed to every rank")
-	dpSync := flag.String("dp-sync", "auto", "DP synchronization mode passed to every rank")
+	engine := flag.String("engine", "pipelined", "execution engine passed to every rank")
+	dpSync := flag.String("dp-sync", "overlapped", "DP synchronization mode passed to every rank")
 	cbAlg := flag.String("cb-alg", "", "inter-stage compressor family passed to every rank (empty = the config's)")
 	dpAlg := flag.String("dp-alg", "", "DP-sync compressor family passed to every rank (empty = the config's)")
 	trainBin := flag.String("train-bin", "", "path to the optcc-train binary (default: next to this binary, then $PATH)")

@@ -12,10 +12,6 @@
 // efficiency, the same scenario defaults, the same evaluator — CI diffs
 // a served /v1/price estimate against optcc-sim -price output and a
 // served /v1/autotune table against optcc-sim -autotune, byte for byte.
-//
-// -cpuprofile/-memprofile capture a serving profile (drive load with
-// optcc-bench -serve-bench -serve-target) for PGO refresh; see
-// bench/README.md.
 package main
 
 import (
@@ -31,7 +27,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/whatif"
 )
 
@@ -39,23 +34,14 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cacheEntries := flag.Int("cache", whatif.DefaultCacheEntries, "plan-keyed LRU capacity in entries (negative disables caching)")
 	evaluators := flag.Int("evaluators", 0, "max evaluators per scenario (0 = GOMAXPROCS)")
-	maxBatch := flag.Int("max-batch", whatif.DefaultMaxBatch, "max queries drained per evaluator checkout")
-	batchWindow := flag.Duration("batch-window", 0, "wait this long before draining so a burst coalesces into one batch (0 = drain immediately)")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request /v1/price timeout")
 	tuneTimeout := flag.Duration("autotune-timeout", 120*time.Second, "per-request /v1/autotune timeout")
-	spanCapacity := flag.Int("span-capacity", 0, "record one span per batch drain into a ring of this capacity, dumped as a summary on shutdown (0 = off)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (PGO feed) to this file on shutdown")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on shutdown")
+	spanCapacity := flag.Int("span-capacity", 0, "record one span per pricing into a ring of this capacity, dumped as a summary on shutdown (0 = off)")
 	flag.Parse()
 
 	eff, err := experiments.CalibratedEfficiency()
 	if err != nil {
 		fatalf("calibration: %v", err)
-	}
-
-	stop, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fatalf("%v", err)
 	}
 
 	var rec *obs.Recorder
@@ -65,8 +51,6 @@ func main() {
 	eng := whatif.NewEngine(whatif.Options{
 		CacheEntries:  *cacheEntries,
 		MaxEvaluators: *evaluators,
-		BatchWindow:   *batchWindow,
-		MaxBatch:      *maxBatch,
 		Recorder:      rec,
 	})
 	srv := whatif.NewServer(eng, whatif.ServerOptions{
@@ -100,10 +84,7 @@ func main() {
 	fmt.Println("optcc-serve: final metrics")
 	eng.Registry().WriteText(os.Stdout)
 	if rec != nil {
-		fmt.Printf("optcc-serve: recorded %d batch spans (%d dropped)\n", rec.Len(0), rec.Dropped())
-	}
-	if err := stop(); err != nil {
-		fatalf("%v", err)
+		fmt.Printf("optcc-serve: recorded %d pricing spans (%d dropped)\n", rec.Len(0), rec.Dropped())
 	}
 }
 

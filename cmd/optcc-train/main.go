@@ -31,7 +31,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/prof"
 	"repro/internal/train"
 )
 
@@ -51,16 +50,14 @@ func main() {
 	seed := flag.Int64("seed", 7, "random seed")
 	stats := flag.Bool("stats", false, "collect Fig. 11 error/activation statistics")
 	parallel := flag.Bool("parallel", false, "run data-parallel groups on separate goroutines (bit-identical results)")
-	engine := flag.String("engine", "auto", "execution engine: auto, pipelined, serial (collective sync, serial micro-batch loop), reference (fully serial oracle)")
+	engine := flag.String("engine", "pipelined", "execution engine: pipelined (1F1B executor over the collective runtime) or reference (fully serial oracle)")
 	cbAlg := flag.String("cb-alg", "", "override the inter-stage compressor family by registry name (powersgd, topk, randomk, terngrad, ...)")
 	dpAlg := flag.String("dp-alg", "", "override the DP-sync compressor family by registry name (powersgd, terngrad, ...)")
 	printPlan := flag.Bool("print-plan", false, "print the compiled communication/compression plan before training")
-	dpSync := flag.String("dp-sync", "auto", "DP synchronization mode: auto, overlapped (bucketed all-reduces issued during backward), blocking (barrier after backward)")
+	dpSync := flag.String("dp-sync", "overlapped", "DP synchronization mode: overlapped (bucketed all-reduces issued during backward) or blocking (barrier after backward)")
 	bucketBytes := flag.Int64("bucket-bytes", 0, "DP-sync bucket byte budget (0 = plan default)")
 	checkpoint := flag.String("checkpoint", "", "write the final training state (v2: weights, momentum, error-feedback residuals) to this file")
 	resume := flag.String("resume", "", "restore training state from this checkpoint before training (v2 resumes bit-identically)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (usable as a -pgo=auto feed)")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	trace := flag.String("trace", "", "record per-rank spans and write the executed run as Chrome trace-event JSON (pid 2; merge with optcc-sim -trace output to compare in Perfetto). Capacity is sized for -iters; keep traced runs to modest iteration counts")
 	metricsOut := flag.String("metrics-out", "", "write the metrics-registry snapshot (counters) as JSON to this file")
 	reconcile := flag.Bool("reconcile", false, "after training, reconcile the executed trace against the transport counters (tolerance 0) and the simulator's predictions; requires -trace")
@@ -74,20 +71,6 @@ func main() {
 	coord := flag.String("coord", "", "coordinator address (host:port) for process-per-rank runs")
 	sockDir := flag.String("sock-dir", "", "directory for unix data sockets in process-per-rank runs")
 	flag.Parse()
-
-	stopProfiles, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "optcc-train:", err)
-		os.Exit(1)
-	}
-	// Check the flush: a truncated profile must not exit 0 (it would
-	// silently poison the PGO feed).
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, "optcc-train:", err)
-			os.Exit(1)
-		}
-	}()
 
 	mk, ok := configs[strings.ToLower(*config)]
 	if !ok {
@@ -139,14 +122,12 @@ func main() {
 		cfg.TraceCapacity = train.TraceCapacityFor(cfg, *iters)
 	}
 	switch *dpSync {
-	case "auto":
-		cfg.DPSync = train.DPSyncAuto
 	case "overlapped":
 		cfg.DPSync = train.DPSyncOverlapped
 	case "blocking":
 		cfg.DPSync = train.DPSyncBlocking
 	default:
-		fmt.Fprintf(os.Stderr, "optcc-train: unknown -dp-sync %q (want auto, overlapped, or blocking)\n", *dpSync)
+		fmt.Fprintf(os.Stderr, "optcc-train: unknown -dp-sync %q (want overlapped or blocking)\n", *dpSync)
 		os.Exit(1)
 	}
 

@@ -54,10 +54,7 @@
 // carry compress → reduce → decompress without materializing a dense
 // image — error feedback updates only selected coordinates, the
 // collective reduces by density-capped merge-union (bit-identical dense
-// fallback), and the simulator prices sparse codecs by nnz. internal/prof
-// wires -cpuprofile/-memprofile into the binaries; the CPU profile feeds
-// the -pgo=auto build (cmd/optcc-bench/default.pgo), and cmd/optcc-gate
-// gates CI on the committed bench/BENCH_*.json baselines.
+// fallback), and the simulator prices sparse codecs by nnz.
 //
 // The executed run is observable end to end via internal/obs: a
 // per-rank fixed-capacity span recorder (lock-free, 0 allocs/op, nil =
@@ -100,23 +97,23 @@
 // deterministically (same seed, same ranked table). optcc-sim -autotune
 // prints the ranked table; optcc-train -autotune tunes, trains the
 // winner, and verifies executed wire volumes equal the autotuner's
-// prediction at tolerance 0; optcc-bench -autotune-bench writes the
-// BENCH_autotune.json perf trail.
+// prediction at tolerance 0.
 //
 // The evaluator is also servable at high QPS: internal/whatif pools
 // sim.Evaluators per frozen scenario (single-goroutine each; checked
 // out concurrently), caches results in a sharded plan-keyed LRU whose
-// hit path is 0 allocs/op, and coalesces concurrent misses —
-// singleflight for identical plans, small-window batching through one
-// evaluator checkout for distinct ones. cmd/optcc-serve fronts it with
+// hit path is 0 allocs/op, and collapses concurrent identical misses
+// onto one pricing (singleflight). cmd/optcc-serve fronts it with
 // a std-lib HTTP API (POST /v1/price, POST /v1/autotune, GET /metrics)
 // whose served estimates are bit-identical (tolerance 0) to direct
 // sim.Evaluator.Price calls and whose autotune tables are
 // byte-identical to optcc-sim -autotune stdout — pinned by CI's
 // serve-smoke job diffing the live service against optcc-sim -price.
-// optcc-bench -serve-bench writes the BENCH_serve.json perf trail
-// (in-process and real-socket lanes; the cached lanes clear 10k
-// priced queries/sec with deterministic cache-hit rates).
+//
+// Performance is measured by one system, the benchmark/ module: seven
+// named workloads over the whole stack, four end-to-end metrics with
+// regression bounds, and a traced pass attributing them to the layers
+// (bash benchmark/run.sh; go run -C benchmark . -describe).
 //
 // See README.md for a guided tour (quickstart, package map, and the
 // pooled zero-allocation compression API) and CHANGES.md for the per-PR

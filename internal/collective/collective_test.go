@@ -309,6 +309,38 @@ func TestAllReduceSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestBroadcastSteadyStateZeroAllocs: a warmed 4-rank Broadcast on
+// MemTransport allocates nothing.
+func TestBroadcastSteadyStateZeroAllocs(t *testing.T) {
+	const d = 4
+	rt := flatRuntime(t, d)
+	grp := rt.NewGroup(ClassDP, rt.Topology().DPGroup(0))
+	bufs := randBufs(d, 48, 48, 2)
+	grp.Broadcast(bufs, 0) // warm the pool
+	if n := testing.AllocsPerRun(50, func() { grp.Broadcast(bufs, 0) }); n != 0 {
+		t.Fatalf("steady-state Broadcast allocates (%v allocs/op)", n)
+	}
+}
+
+// TestFusedEmbeddingSteadyStateZeroAllocs: the warmed §6 fused
+// embedding all-reduce — one 2D-way ring over the first and last stage
+// of 4 replicas — on MemTransport allocates nothing.
+func TestFusedEmbeddingSteadyStateZeroAllocs(t *testing.T) {
+	const d = 4
+	topo, err := NewTopology(d, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntime(topo, nil, nil)
+	t.Cleanup(rt.Close)
+	fused := rt.NewGroup(ClassEmb, topo.EmbGroup())
+	bufs := randBufs(2*d, 48, 48, 3)
+	fused.AllReduce(bufs, 1/float64(d)) // warm the pool
+	if n := testing.AllocsPerRun(50, func() { fused.AllReduce(bufs, 1/float64(d)) }); n != 0 {
+		t.Fatalf("steady-state fused embedding all-reduce allocates (%v allocs/op)", n)
+	}
+}
+
 func TestGroupValidation(t *testing.T) {
 	rt := flatRuntime(t, 3)
 	for name, f := range map[string]func(){

@@ -193,18 +193,24 @@ func TestSendCompressedSparseMatchesDense(t *testing.T) {
 // TestSparseAllReduceSteadyStateZeroAllocs pins the tentpole's
 // allocation contract: a steady-state sparse-native compress + ring +
 // merge-union reduce cycle allocates nothing (payload buffers, sparse
-// ship copies, merge scratch and op descriptors all recycle).
+// ship copies, merge scratch and op descriptors all recycle) — for both
+// sparse families, and on the densified reduction too.
 func TestSparseAllReduceSteadyStateZeroAllocs(t *testing.T) {
 	const d = 4
-	rt := flatRuntime(t, d)
-	grp := rt.NewGroup(ClassDP, rt.Topology().DPGroup(0))
-	efs := sparseEFs(t, "topk", d, 0.05)
-	bufs := randBufs(d, 32, 32, 9)
-	warm := func() { grp.AllReduceCompressed(bufs, efs, 1.0/d) }
-	for i := 0; i < 3; i++ {
-		warm() // fill pools, EF residuals, payload capacities
-	}
-	if n := testing.AllocsPerRun(20, warm); n != 0 {
-		t.Fatalf("steady-state sparse all-reduce allocates (%v allocs/op)", n)
+	for _, family := range []string{"topk", "randomk"} {
+		for _, densified := range []bool{false, true} {
+			rt := flatRuntime(t, d)
+			grp := rt.NewGroup(ClassDP, rt.Topology().DPGroup(0))
+			grp.SetDensifiedReduce(densified)
+			efs := sparseEFs(t, family, d, 0.05)
+			bufs := randBufs(d, 32, 32, 9)
+			warm := func() { grp.AllReduceCompressed(bufs, efs, 1.0/d) }
+			for i := 0; i < 3; i++ {
+				warm() // fill pools, EF residuals, payload capacities
+			}
+			if n := testing.AllocsPerRun(20, warm); n != 0 {
+				t.Fatalf("%s (densified=%v): steady-state sparse all-reduce allocates (%v allocs/op)", family, densified, n)
+			}
+		}
 	}
 }

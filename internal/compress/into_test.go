@@ -59,13 +59,25 @@ func TestCompressorsSteadyStateZeroAlloc(t *testing.T) {
 
 func TestErrorFeedbackSteadyStateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
-	ef := NewErrorFeedback(NewPowerSGD(2, 54))
 	m := tensor.RandN(rng, 16, 12, 1)
-	ef.CompressWithFeedback(m)
-	ef.CompressWithFeedback(m) // second call exercises the residual path
-	n := testing.AllocsPerRun(20, func() { ef.CompressWithFeedback(m) })
-	if n != 0 {
-		t.Fatalf("CompressWithFeedback allocates %v per steady-state call", n)
+	for _, inner := range []Compressor{NewPowerSGD(2, 54), NewTopK(0.05), NewRandomK(0.05, 54)} {
+		ef := NewErrorFeedback(inner)
+		ef.CompressWithFeedback(m)
+		ef.CompressWithFeedback(m) // second call exercises the residual path
+		n := testing.AllocsPerRun(20, func() { ef.CompressWithFeedback(m) })
+		if n != 0 {
+			t.Fatalf("%s: CompressWithFeedback allocates %v per steady-state call", inner.Name(), n)
+		}
+	}
+	// The sparse-native path of the sparse families.
+	for _, inner := range []Compressor{NewTopK(0.05), NewRandomK(0.05, 54)} {
+		ef := NewErrorFeedback(inner)
+		ef.CompressWithFeedbackSparse(m)
+		ef.CompressWithFeedbackSparse(m)
+		n := testing.AllocsPerRun(20, func() { ef.CompressWithFeedbackSparse(m) })
+		if n != 0 {
+			t.Fatalf("%s: CompressWithFeedbackSparse allocates %v per steady-state call", inner.Name(), n)
+		}
 	}
 }
 

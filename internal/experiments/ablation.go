@@ -137,13 +137,12 @@ func AblateCompressorFamily(o Options) (Result, error) {
 // AblateSchedules compares pipeline schedules analytically and
 // structurally for the paper's configuration (PP4, 16 micro-batches):
 // bubble fraction, peak in-flight activations, and inter-stage transfer
-// count — the trade-offs that motivate interleaved 1F1B (§8) and that CB
-// interacts with.
+// count — the trade-offs CB interacts with.
 func AblateSchedules(o Options) (Result, error) {
 	t := &table{
 		title: "Ablation — pipeline schedules (PP4, 16 micro-batches)",
 		cols:  []string{"schedule", "bubble fraction", "peak in-flight (stage 0)", "p2p transfers/iter"},
-		notes: []string{"interleaving shrinks the bubble by the chunk factor but multiplies the inter-stage traffic CB compresses"},
+		notes: []string{"1F1B keeps GPipe's bubble and traffic; its gain is the peak activation stash (§2.1)"},
 	}
 	p, m := 4, 16
 	oneF, err := pipeline.OneFOneB(p, m)
@@ -156,19 +155,9 @@ func AblateSchedules(o Options) (Result, error) {
 	}
 	t.add("GPipe", f3(pipeline.BubbleFraction1F1B(p, m)),
 		fmt.Sprintf("%d", gp.PeakInFlight(0)),
-		fmt.Sprintf("%d", pipeline.CommVolumePerIteration(p, m, 1)))
+		fmt.Sprintf("%d", pipeline.CommVolumePerIteration(p, m)))
 	t.add("1F1B", f3(pipeline.BubbleFraction1F1B(p, m)),
 		fmt.Sprintf("%d", oneF.PeakInFlight(0)),
-		fmt.Sprintf("%d", pipeline.CommVolumePerIteration(p, m, 1)))
-	for _, v := range []int{2, 4} {
-		il, err := pipeline.Interleaved(p, m, v)
-		if err != nil {
-			return nil, err
-		}
-		t.add(fmt.Sprintf("interleaved v=%d", v),
-			f3(pipeline.BubbleFractionInterleaved(p, m, v)),
-			fmt.Sprintf("%d", il.PeakInFlight(0)),
-			fmt.Sprintf("%d", pipeline.CommVolumePerIteration(p, m, v)))
-	}
+		fmt.Sprintf("%d", pipeline.CommVolumePerIteration(p, m)))
 	return t, nil
 }

@@ -94,9 +94,7 @@ func TestRecorderConcurrentRecording(t *testing.T) {
 }
 
 // TestRecordZeroAllocs pins the steady-state allocation contract for
-// both the enabled and the disabled (nil) recorder — the bench lane's
-// BENCH_obs.json rows gate the same property with 1-alloc slack; this
-// is the exact pin.
+// both the enabled and the disabled (nil) recorder.
 func TestRecordZeroAllocs(t *testing.T) {
 	r := NewRecorder([]string{"t"}, 1<<16)
 	if n := testing.AllocsPerRun(1000, func() {

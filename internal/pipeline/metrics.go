@@ -16,17 +16,6 @@ func BubbleFraction1F1B(p, m int) float64 {
 	return float64(p-1) / float64(m+p-1)
 }
 
-// BubbleFractionInterleaved returns the bubble fraction of the
-// interleaved schedule with v chunks per device: (p−1)/(v·m+p−1) — the
-// warmup/drain shrink by the chunk factor (Narayanan et al., SC'21),
-// which is why the paper's implementation enables interleaving (§8).
-func BubbleFractionInterleaved(p, m, v int) float64 {
-	if p <= 1 {
-		return 0
-	}
-	return float64(p-1) / float64(v*m+p-1)
-}
-
 // ActivationMemoryRatio1F1B returns 1F1B's peak activation memory as a
 // fraction of GPipe's on stage s: 1F1B stashes min(p−s, m) micro-batches
 // while GPipe stashes all m.
@@ -39,12 +28,7 @@ func ActivationMemoryRatio1F1B(p, m, s int) float64 {
 }
 
 // CommVolumePerIteration returns the number of inter-stage point-to-point
-// transfers (each direction counted once) per iteration: 2·(p−1)·m for a
-// plain schedule and 2·(p·v−1)·m for an interleaved one where chunk
-// boundaries also cross devices.
-func CommVolumePerIteration(p, m, v int) int {
-	if v < 1 {
-		v = 1
-	}
-	return 2 * (p*v - 1) * m
+// transfers (each direction counted once) per iteration: 2·(p−1)·m.
+func CommVolumePerIteration(p, m int) int {
+	return 2 * (p - 1) * m
 }

@@ -59,10 +59,9 @@ func (o Op) String() string {
 
 // Schedule is a per-stage ordered list of compute ops.
 type Schedule struct {
-	Stages      int
-	MicroBatch  int
-	PerStage    [][]Op
-	Interleaved bool
+	Stages     int
+	MicroBatch int
+	PerStage   [][]Op
 }
 
 // OneFOneB builds the non-interleaved 1F1B schedule for p stages and m

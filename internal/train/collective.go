@@ -194,23 +194,5 @@ func (cs *collectiveState) syncEmbedding(t *Trainer) {
 	}
 }
 
-// accountBackward books the inter-stage backward transfer of micro-batch
-// traffic from stage s to s−1 of replica d on the pipeline link class.
-// The payload itself is handed off in-process (runMicroBatch); only the
-// wire size is accounted, so experiments can report executed PP volume
-// under compressed backpropagation.
-func (cs *collectiveState) accountBackward(d, s int, bytes int64) {
-	cs.rt.AccountP2P(collective.ClassPP, cs.topo.Rank(d, s), cs.topo.Rank(d, s-1), bytes)
-}
-
-// accountForward books the inter-stage forward activation transfer from
-// stage s−1 to stage s of replica d on the pipeline link class. Only the
-// serial in-loop path needs this — the 1F1B executor's Send accounts its
-// own traffic — but both paths must agree to the byte, which the
-// cross-check tests pin.
-func (cs *collectiveState) accountForward(d, s int, bytes int64) {
-	cs.rt.AccountP2P(collective.ClassPP, cs.topo.Rank(d, s-1), cs.topo.Rank(d, s), bytes)
-}
-
 // Close releases the runtime's rank workers.
 func (cs *collectiveState) Close() { cs.rt.Close() }

@@ -200,14 +200,14 @@ func TestCollectiveSyncSteadyStateZeroAllocs(t *testing.T) {
 	opt.CBRank = 2
 	opt.DPRank = 2
 	cfg := testConfig(opt)
-	cfg.SyncWorkers = 1 // keep the fan-out goroutine spawns out of the count
 	cfg.DPSync = DPSyncBlocking
 	tr, err := New(cfg, testCorpus(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	tr.Train(3, nil) // warm every workspace, residual, and payload buffer
+	tr.syncWorkers = 1 // keep the fan-out goroutine spawns out of the count
+	tr.Train(3, nil)   // warm every workspace, residual, and payload buffer
 	if n := testing.AllocsPerRun(10, func() {
 		tr.syncDataParallel()
 		tr.syncEmbedding()

@@ -1,7 +1,6 @@
 package train
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -16,7 +15,7 @@ import (
 // everything else is averaged exactly. Embedding-table gradients are
 // excluded here — they belong to the embedding-synchronization phase (§6).
 //
-// Under overlapped sync (the default on runtime-backed engines) the
+// Under overlapped sync (the default on the pipelined engine) the
 // buckets were already issued during the backward pass and only the
 // in-flight handles remain to be drained here. Under blocking sync the
 // plan's bucket schedule runs now, stages fanned out over a bounded
@@ -43,8 +42,8 @@ func (t *Trainer) syncDataParallel() {
 		return
 	}
 	start := time.Now()
-	workers := t.syncWorkers()
-	if workers <= 1 || cfg.Stages == 1 {
+	workers := t.syncWorkers
+	if workers <= 1 {
 		for s := 0; s < cfg.Stages; s++ {
 			t.coll.syncStageBlocking(t, s)
 		}
@@ -63,18 +62,6 @@ func (t *Trainer) syncDataParallel() {
 		wg.Wait()
 	}
 	t.recordDPDrain(time.Since(start).Nanoseconds())
-}
-
-// syncWorkers resolves the worker-pool bound for DP-group×stage sync.
-func (t *Trainer) syncWorkers() int {
-	w := t.cfg.SyncWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > t.cfg.Stages {
-		w = t.cfg.Stages
-	}
-	return w
 }
 
 // syncStageSerial averages (optionally compressing) every non-embedding

@@ -2,112 +2,71 @@ package train
 
 import "fmt"
 
-// Engine selects how a training iteration executes. It replaced the
-// DisableCollective/DisablePipeline negative booleans in PR 4; the
-// deprecated aliases have since been removed, and Engine is the only
-// knob.
+// Engine selects how a training iteration executes.
 type Engine int
 
-// Engines, from most to least machinery.
+// Engines.
 const (
-	// EngineAuto resolves to EnginePipelined (the default execution
-	// stack).
-	EngineAuto Engine = iota
-	// EnginePipelined runs micro-batches on the 1F1B executor — one
-	// goroutine per (dp group, stage) rank over the collective
-	// runtime's point-to-point transport — and the sync phases on the
-	// ring collectives. On a single-stage grid the micro-batch loop
-	// degenerates to serial (there is no pipeline), but sync stays on
-	// the runtime.
-	EnginePipelined
-	// EngineSerial runs the serial in-loop micro-batch path while sync
-	// still executes (and is accounted) on the collective runtime —
-	// the pipeline-executor oracle.
-	EngineSerial
+	// EnginePipelined (the zero value) runs micro-batches on the 1F1B
+	// executor — one goroutine per (dp group, stage) rank over the
+	// collective runtime's point-to-point transport — and the sync
+	// phases on the ring collectives. On a single-stage grid the
+	// micro-batch loop degenerates to serial (there is no pipeline),
+	// but sync stays on the runtime.
+	EnginePipelined Engine = iota
 	// EngineReference runs everything serially with in-place
 	// reductions and no collective runtime at all — the bit-identity
 	// oracle for the whole communication stack. No traffic accounting.
 	EngineReference
 )
 
-// engineNames maps flag spellings to engines (see ParseEngine).
-var engineNames = map[string]Engine{
-	"auto":      EngineAuto,
-	"pipelined": EnginePipelined,
-	"serial":    EngineSerial,
-	"reference": EngineReference,
-}
-
 func (e Engine) String() string {
 	switch e {
-	case EngineAuto:
-		return "auto"
 	case EnginePipelined:
 		return "pipelined"
-	case EngineSerial:
-		return "serial"
 	case EngineReference:
 		return "reference"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// ParseEngine resolves a flag spelling ("auto", "pipelined", "serial",
-// "reference") to an Engine.
+// ParseEngine resolves a flag spelling ("pipelined", "reference") to an
+// Engine.
 func ParseEngine(s string) (Engine, error) {
-	if e, ok := engineNames[s]; ok {
-		return e, nil
+	switch s {
+	case "pipelined":
+		return EnginePipelined, nil
+	case "reference":
+		return EngineReference, nil
 	}
-	return EngineAuto, fmt.Errorf("train: unknown engine %q (want auto, pipelined, serial, or reference)", s)
-}
-
-// ResolvedEngine maps the configuration onto a concrete engine:
-// EngineAuto becomes EnginePipelined, everything else is taken as is.
-func (c Config) ResolvedEngine() Engine {
-	if c.Engine == EngineAuto {
-		return EnginePipelined
-	}
-	return c.Engine
+	return EnginePipelined, fmt.Errorf("train: unknown engine %q (want pipelined or reference)", s)
 }
 
 // DPSyncMode selects how data-parallel gradient synchronization
-// executes on the runtime-backed engines.
+// executes on the pipelined engine.
 type DPSyncMode int
 
 // DP-sync modes.
 const (
-	// DPSyncAuto resolves to DPSyncOverlapped.
-	DPSyncAuto DPSyncMode = iota
-	// DPSyncOverlapped issues each stage's bucketed all-reduces — via
-	// the collective async handles — as soon as that stage's gradients
-	// are final, while other stages are still inside the backward pass,
-	// and waits on every handle just before the optimizer step. The
-	// reduction schedule per gradient is unchanged, so results are
-	// bit-identical to every other mode.
-	DPSyncOverlapped
+	// DPSyncOverlapped (the zero value) issues each stage's bucketed
+	// all-reduces — via the collective async handles — as soon as that
+	// stage's gradients are final, while other stages are still inside
+	// the backward pass, and waits on every handle just before the
+	// optimizer step. The reduction schedule per gradient is unchanged,
+	// so results are bit-identical to blocking mode.
+	DPSyncOverlapped DPSyncMode = iota
 	// DPSyncBlocking runs the same bucket schedule as one barrier after
 	// the whole backward pass, waiting each bucket's collectives before
-	// issuing the next — the un-overlapped baseline the -overlap-bench
-	// comparison measures against.
+	// issuing the next — the un-overlapped baseline.
 	DPSyncBlocking
 )
 
 func (m DPSyncMode) String() string {
 	switch m {
-	case DPSyncAuto:
-		return "auto"
 	case DPSyncOverlapped:
 		return "overlapped"
 	case DPSyncBlocking:
 		return "blocking"
 	}
 	return fmt.Sprintf("DPSyncMode(%d)", int(m))
-}
-
-// ResolvedDPSync maps the configuration onto a concrete DP-sync mode.
-func (c Config) ResolvedDPSync() DPSyncMode {
-	if c.DPSync == DPSyncAuto {
-		return DPSyncOverlapped
-	}
-	return c.DPSync
 }

@@ -29,43 +29,41 @@ func overlapOpts() map[string]core.Config {
 // — async handles in flight while other stages still compute — is
 // bit-identical (tolerance 0) to the blocking barrier and to the fully
 // serial reference oracle, across the acceptance grids and compression
-// configurations, on both runtime engines. Deliberately tiny bucket
-// budgets (see smallBucketBudgets) force multi-bucket schedules so the
-// overlap machinery is genuinely exercised at test scale.
+// configurations. Deliberately tiny bucket budgets (see
+// smallBucketBudgets) force multi-bucket schedules so the overlap
+// machinery is genuinely exercised at test scale.
 func TestOverlappedDPSyncBitIdentical(t *testing.T) {
 	c := testCorpus(t)
 	for name, opt := range overlapOpts() {
 		for _, g := range executorGrids {
-			for _, engine := range []Engine{EnginePipelined, EngineSerial} {
-				for _, budget := range smallBucketBudgets {
-					mk := func(mode DPSyncMode, eng Engine) *Trainer {
-						cfg := gridConfig(opt, g.dp, g.pp, g.micros)
-						cfg.Engine = eng
-						cfg.DPSync = mode
-						cfg.BucketBytes = budget
-						tr, err := New(cfg, c)
-						if err != nil {
-							t.Fatal(err)
-						}
-						t.Cleanup(tr.Close)
-						return tr
+			for _, budget := range smallBucketBudgets {
+				mk := func(mode DPSyncMode, eng Engine) *Trainer {
+					cfg := gridConfig(opt, g.dp, g.pp, g.micros)
+					cfg.Engine = eng
+					cfg.DPSync = mode
+					cfg.BucketBytes = budget
+					tr, err := New(cfg, c)
+					if err != nil {
+						t.Fatal(err)
 					}
-					over := mk(DPSyncOverlapped, engine)
-					block := mk(DPSyncBlocking, engine)
-					ref := mk(DPSyncAuto, EngineReference)
-					if g.dp > 1 && over.ov == nil {
-						t.Fatalf("%s %v dp%d×pp%d: overlap not active", name, engine, g.dp, g.pp)
-					}
-					for i := 0; i < 3; i++ {
-						lo, lb, lr := over.TrainIteration(), block.TrainIteration(), ref.TrainIteration()
-						if lo != lb || lo != lr {
-							t.Fatalf("%s %v dp%d×pp%d m=%d iter %d: losses diverged (overlapped %v, blocking %v, reference %v)",
-								name, engine, g.dp, g.pp, g.micros, i, lo, lb, lr)
-						}
-					}
-					assertSameWeights(t, over, block, name+"/overlapped-vs-blocking")
-					assertSameWeights(t, over, ref, name+"/overlapped-vs-reference")
+					t.Cleanup(tr.Close)
+					return tr
 				}
+				over := mk(DPSyncOverlapped, EnginePipelined)
+				block := mk(DPSyncBlocking, EnginePipelined)
+				ref := mk(DPSyncOverlapped, EngineReference)
+				if g.dp > 1 && over.ov == nil {
+					t.Fatalf("%s dp%d×pp%d: overlap not active", name, g.dp, g.pp)
+				}
+				for i := 0; i < 3; i++ {
+					lo, lb, lr := over.TrainIteration(), block.TrainIteration(), ref.TrainIteration()
+					if lo != lb || lo != lr {
+						t.Fatalf("%s dp%d×pp%d m=%d iter %d: losses diverged (overlapped %v, blocking %v, reference %v)",
+							name, g.dp, g.pp, g.micros, i, lo, lb, lr)
+					}
+				}
+				assertSameWeights(t, over, block, name+"/overlapped-vs-blocking")
+				assertSameWeights(t, over, ref, name+"/overlapped-vs-reference")
 			}
 		}
 	}

@@ -15,13 +15,14 @@ import (
 // compression placement — both consume the compiled plan, and what the
 // engine *actually executed* (recorded at the send/sync call sites,
 // independently of the plan) equals the plan's edge and stage sets
-// exactly, on both engines, with the simulator's plan-derived byte
+// exactly, on both engines (the pipelined executor and the reference
+// engine's serial loop), with the simulator's plan-derived byte
 // prediction matching the transport's measured pp-class traffic.
 func TestExecutedPlacementEqualsPlanAndPrediction(t *testing.T) {
 	c := testCorpus(t)
 	for name, opt := range executorOpts() {
 		for _, g := range executorGrids {
-			for _, engine := range []Engine{EnginePipelined, EngineSerial} {
+			for _, engine := range []Engine{EnginePipelined, EngineReference} {
 				cfg := gridConfig(opt, g.dp, g.pp, g.micros)
 				cfg.Engine = engine
 				tr, err := New(cfg, c)
@@ -86,28 +87,28 @@ func TestExecutedPlacementEqualsPlanAndPrediction(t *testing.T) {
 	}
 }
 
-// TestEngineResolution pins the Engine enum (the deprecated
-// DisableCollective/DisablePipeline aliases are gone — Engine is the
-// only knob) and the DP-sync mode resolution.
+// TestEngineResolution pins the two enums: the zero values are the
+// production engine and DP-sync mode, the flag spellings round-trip, and
+// out-of-range values are rejected.
 func TestEngineResolution(t *testing.T) {
 	base := testConfig(core.Baseline())
-	cases := []struct {
-		mutate func(*Config)
-		want   Engine
-	}{
-		{func(*Config) {}, EnginePipelined},
-		{func(c *Config) { c.Engine = EnginePipelined }, EnginePipelined},
-		{func(c *Config) { c.Engine = EngineSerial }, EngineSerial},
-		{func(c *Config) { c.Engine = EngineReference }, EngineReference},
+	if base.Engine != EnginePipelined || base.DPSync != DPSyncOverlapped {
+		t.Fatalf("zero config runs %v/%v, want pipelined/overlapped", base.Engine, base.DPSync)
 	}
-	for i, cse := range cases {
-		cfg := base
-		cse.mutate(&cfg)
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("case %d: %v", i, err)
+	for _, e := range []Engine{EnginePipelined, EngineReference} {
+		got, err := ParseEngine(e.String())
+		if err != nil || got != e {
+			t.Fatalf("ParseEngine(%q) = %v, %v", e.String(), got, err)
 		}
-		if got := cfg.ResolvedEngine(); got != cse.want {
-			t.Fatalf("case %d: resolved %v, want %v", i, got, cse.want)
+		cfg := base
+		cfg.Engine = e
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
+	}
+	for _, s := range []string{"auto", "serial", ""} {
+		if _, err := ParseEngine(s); err == nil {
+			t.Fatalf("ParseEngine(%q) accepted", s)
 		}
 	}
 
@@ -126,48 +127,6 @@ func TestEngineResolution(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("negative bucket budget accepted")
 	}
-	if base.ResolvedDPSync() != DPSyncOverlapped {
-		t.Fatal("DPSyncAuto did not resolve to overlapped")
-	}
-	blk := base
-	blk.DPSync = DPSyncBlocking
-	if blk.ResolvedDPSync() != DPSyncBlocking {
-		t.Fatal("DPSyncBlocking did not stick")
-	}
-}
-
-// TestEngineTrinityBitIdentical runs the same configuration on all
-// three engines and asserts bit-identical losses and weights — the
-// Engine knob must be a pure execution-stack choice.
-func TestEngineTrinityBitIdentical(t *testing.T) {
-	c := testCorpus(t)
-	opt := core.CBFESC()
-	opt.CBRank = 2
-	opt.DPRank = 2
-	var trainers []*Trainer
-	for _, e := range []Engine{EnginePipelined, EngineSerial, EngineReference} {
-		cfg := testConfig(opt)
-		cfg.Engine = e
-		tr, err := New(cfg, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		if tr.Engine() != e {
-			t.Fatalf("engine %v resolved as %v", e, tr.Engine())
-		}
-		trainers = append(trainers, tr)
-	}
-	for i := 0; i < 3; i++ {
-		l0 := trainers[0].TrainIteration()
-		for _, tr := range trainers[1:] {
-			if l := tr.TrainIteration(); l != l0 {
-				t.Fatalf("iteration %d: engine %v loss %v != %v", i, tr.Engine(), l, l0)
-			}
-		}
-	}
-	assertSameWeights(t, trainers[0], trainers[1], "pipelined-vs-serial")
-	assertSameWeights(t, trainers[0], trainers[2], "pipelined-vs-reference")
 }
 
 // TestTernGradDPSyncTrains pins the previously dead quantizer family end

@@ -19,7 +19,6 @@ func benchTrainer(b *testing.B, workers int) *Trainer {
 	opt.CBRank = 2
 	opt.DPRank = 2
 	cfg := testConfig(opt)
-	cfg.SyncWorkers = workers
 	// The benchmarks drive syncDataParallel directly, outside an
 	// iteration: blocking mode makes that the full issue+wait path
 	// (under overlapped sync the work happens during backward).
@@ -28,6 +27,7 @@ func benchTrainer(b *testing.B, workers int) *Trainer {
 	if err != nil {
 		b.Fatal(err)
 	}
+	tr.syncWorkers = workers
 	// Two full iterations populate real gradients and warm every
 	// workspace — including the error-feedback input buffers that only
 	// exist once a residual is stored — so the benchmark measures steady
@@ -53,7 +53,7 @@ func BenchmarkSyncDataParallel(b *testing.B) {
 // BenchmarkSyncDataParallelWorkers measures the same path with the
 // bounded worker pool fanning independent stages out.
 func BenchmarkSyncDataParallelWorkers(b *testing.B) {
-	tr := benchTrainer(b, 0)
+	tr := benchTrainer(b, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

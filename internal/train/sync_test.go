@@ -7,28 +7,30 @@ import (
 )
 
 // TestSyncWorkersBitIdentical pins the worker-pool fan-out contract:
-// stage-parallel gradient synchronization produces bit-identical weights
-// to the serial order, because stages share no tensors and each
-// (stage, group, grad) compressor is private.
+// stage-parallel blocking gradient synchronization produces
+// bit-identical weights to the serial order, because stages share no
+// tensors and each (stage, group, grad) compressor is private. The
+// bound is forced to both extremes, whatever GOMAXPROCS is.
 func TestSyncWorkersBitIdentical(t *testing.T) {
 	c := testCorpus(t)
 	opt := core.CBFESC()
 	opt.CBRank = 2
 	opt.DPRank = 2
-
 	serial := testConfig(opt)
-	serial.SyncWorkers = 1
-	parallel := testConfig(opt)
-	parallel.SyncWorkers = 0 // GOMAXPROCS
+	serial.DPSync = DPSyncBlocking
 
 	a, err := New(serial, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(parallel, c)
+	defer a.Close()
+	a.syncWorkers = 1
+	b, err := New(serial, c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer b.Close()
+	b.syncWorkers = serial.Stages
 	for i := 0; i < 5; i++ {
 		la, lb := a.TrainIteration(), b.TrainIteration()
 		if la != lb {
@@ -50,9 +52,9 @@ func TestSyncWorkersBitIdentical(t *testing.T) {
 // the trainer level: after the first iterations warm the workspaces, the
 // sync path's pool traffic is served from the pool.
 //
-// The invariant is a bound on misses, not hits == gets. Even on the
-// serial micro-batch loop with blocking sync the ring members are
-// collective rank workers running concurrently, and whenever two of them
+// The invariant is a bound on misses, not hits == gets. The pipeline's
+// stage ranks and the ring members are goroutines running concurrently,
+// and whenever two of them
 // overlap in a way they had not before, one faults in an extra same-shape
 // buffer. Every such miss grows the pool's population for good, and the
 // population can never exceed what a single iteration holds at once —
@@ -65,7 +67,6 @@ func TestSyncSteadyStateReusesPool(t *testing.T) {
 	opt.CBRank = 2
 	opt.DPRank = 2
 	cfg := testConfig(opt)
-	cfg.Engine = EngineSerial
 	cfg.DPSync = DPSyncBlocking
 	tr, err := New(cfg, testCorpus(t))
 	if err != nil {

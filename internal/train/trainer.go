@@ -20,10 +20,11 @@
 // goroutine per (dp group, stage) rank drives the schedule's ops in
 // order, shipping forward activations and backward activation-gradients
 // over the collective runtime's point-to-point transport (pipeline.go).
-// The serial in-loop path remains as the EngineSerial oracle; both are
-// bit-identical (per-stage gradient accumulation, per-boundary compressor
-// state, and per-group losses all follow micro-batch order on both
-// paths), so runs are bit-reproducible given a seed on either.
+// The serial in-loop path runs single-stage grids and the
+// EngineReference oracle; both paths are bit-identical (per-stage
+// gradient accumulation, per-boundary compressor state, and per-group
+// losses all follow micro-batch order on both), so runs are
+// bit-reproducible given a seed on either.
 //
 // Data-parallel synchronization overlaps with the backward pass by
 // default: the compiled plan carves each stage's gradients into
@@ -73,19 +74,14 @@ type Config struct {
 	// Batches are pre-sampled in a fixed order first, so results are
 	// bit-identical to the sequential mode (which tests assert).
 	ParallelGroups bool
-	// SyncWorkers bounds the worker pool that fans DP-group×stage gradient
-	// synchronization out over independent stages (0 = GOMAXPROCS,
-	// 1 = serial). Results are bit-identical at any setting.
-	SyncWorkers int
 	// Engine selects the execution stack: the 1F1B executor over the
-	// collective runtime (default), the serial loop over the runtime, or
-	// the fully serial reference oracle. All engines are bit-identical
-	// (asserted by tests); only the runtime-backed ones execute and
-	// account real per-rank traffic.
+	// collective runtime (default) or the fully serial reference oracle.
+	// Both are bit-identical (asserted by tests); only the pipelined one
+	// executes and accounts real per-rank traffic.
 	Engine Engine
 	// DPSync selects overlapped (default) vs blocking data-parallel
-	// gradient synchronization on the runtime-backed engines. Both run
-	// the plan's bucket schedule and are bit-identical; only the timing
+	// gradient synchronization on the pipelined engine. Both run the
+	// plan's bucket schedule and are bit-identical; only the timing
 	// differs (see DPSyncMode).
 	DPSync DPSyncMode
 	// BucketBytes caps one DP-sync bucket's dense payload
@@ -103,9 +99,9 @@ type Config struct {
 
 	// Dist, when non-nil, runs this trainer as one rank of a
 	// process-per-rank grid over the supplied remote transport (see
-	// DistConfig). Multi-stage grids must run the pipelined engine —
-	// the serial engines execute whole replicas in-process, which a
-	// single-rank process cannot do.
+	// DistConfig). It requires the pipelined engine — the reference
+	// engine executes whole replicas in-process, which a single-rank
+	// process cannot do.
 	Dist *DistConfig
 }
 
@@ -127,8 +123,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors, including conflicts between the
-// Engine knob and its deprecated Disable* aliases.
+// Validate reports configuration errors.
 func (c Config) Validate() error {
 	if err := c.Model.Validate(); err != nil {
 		return err
@@ -145,9 +140,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("train: micro-batch settings must be ≥ 1")
 	case c.LR <= 0:
 		return fmt.Errorf("train: LR %v <= 0", c.LR)
-	case c.Engine < EngineAuto || c.Engine > EngineReference:
+	case c.Engine < EnginePipelined || c.Engine > EngineReference:
 		return fmt.Errorf("train: unknown engine %v", c.Engine)
-	case c.DPSync < DPSyncAuto || c.DPSync > DPSyncBlocking:
+	case c.DPSync < DPSyncOverlapped || c.DPSync > DPSyncBlocking:
 		return fmt.Errorf("train: unknown DP-sync mode %v", c.DPSync)
 	case c.BucketBytes < 0:
 		return fmt.Errorf("train: negative BucketBytes %d", c.BucketBytes)
@@ -161,10 +156,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("train: Dist requires a transport")
 		case !tr.Remote():
 			return fmt.Errorf("train: Dist transport must be remote (process-per-rank)")
-		case c.ResolvedEngine() == EngineReference:
+		case c.Engine == EngineReference:
 			return fmt.Errorf("train: Dist is incompatible with EngineReference (no collective runtime)")
-		case c.Stages > 1 && c.ResolvedEngine() != EnginePipelined:
-			return fmt.Errorf("train: Dist with Stages > 1 requires the pipelined engine")
 		}
 		if w, ok := tr.(interface{ World() int }); ok && w.World() != c.DPGroups*c.Stages {
 			return fmt.Errorf("train: Dist transport world %d != DPGroups×Stages %d",
@@ -182,7 +175,6 @@ type Trainer struct {
 	// compresses, and how the embedding synchronizes. The trainer never
 	// re-derives placement from cfg.Opt directly.
 	plan   *plan.Plan
-	engine Engine
 	corpus *data.Corpus
 	sched  *pipeline.Schedule
 	// replicas[d][s] is pipeline stage s of data-parallel group d.
@@ -230,6 +222,11 @@ type Trainer struct {
 	// this process executed — under Dist a partial sum the coordinator
 	// aggregates across processes before normalizing.
 	lastLossSum float64
+
+	// syncWorkers bounds the worker pool that fans blocking DP sync out
+	// over independent stages: min(GOMAXPROCS, Stages). Results are
+	// bit-identical at any bound.
+	syncWorkers int
 
 	// rec is the executed-run span recorder (nil unless
 	// Config.TraceCapacity > 0). Track layout, with W = DPGroups×Stages:
@@ -293,16 +290,16 @@ func New(cfg Config, corpus *data.Corpus) (*Trainer, error) {
 		return nil, err
 	}
 	t := &Trainer{
-		cfg:     cfg,
-		engine:  cfg.ResolvedEngine(),
-		corpus:  corpus,
-		sched:   sched,
-		opt:     model.NewSGD(cfg.LR, cfg.Momentum, cfg.Clip),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		pool:    tensor.NewPool(),
-		dpc:     make(map[[3]int]*compress.ErrorFeedback),
-		embSkip: make(map[*tensor.Matrix]bool),
-		metrics: obs.NewRegistry(),
+		cfg:         cfg,
+		corpus:      corpus,
+		sched:       sched,
+		opt:         model.NewSGD(cfg.LR, cfg.Momentum, cfg.Clip),
+		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		pool:        tensor.NewPool(),
+		dpc:         make(map[[3]int]*compress.ErrorFeedback),
+		embSkip:     make(map[*tensor.Matrix]bool),
+		syncWorkers: min(runtime.GOMAXPROCS(0), cfg.Stages),
+		metrics:     obs.NewRegistry(),
 	}
 	t.dpWait = t.metrics.Counter("train.dp_sync_exposed_ns")
 	t.iters = t.metrics.Counter("train.iterations")
@@ -401,7 +398,7 @@ func New(cfg Config, corpus *data.Corpus) (*Trainer, error) {
 	if cfg.CollectStats {
 		t.stats = NewStats()
 	}
-	if t.engine != EngineReference && (cfg.DPGroups > 1 || cfg.Stages > 1 || cfg.Dist != nil) {
+	if cfg.Engine != EngineReference && (cfg.DPGroups > 1 || cfg.Stages > 1 || cfg.Dist != nil) {
 		t.coll = newCollectiveState(t)
 		// A trainer that is dropped without Close (the experiment harness
 		// creates dozens) must not pin its rank workers and pool forever:
@@ -417,7 +414,7 @@ func New(cfg Config, corpus *data.Corpus) (*Trainer, error) {
 				g.SetTag(s)
 			}
 		}
-		if cfg.DPGroups > 1 && cfg.ResolvedDPSync() == DPSyncOverlapped {
+		if cfg.DPGroups > 1 && cfg.DPSync == DPSyncOverlapped {
 			t.ov = newDPOverlap(t)
 		}
 	}
@@ -449,8 +446,8 @@ func (t *Trainer) Stages() []*model.Stage { return t.replicas[0] }
 // executes.
 func (t *Trainer) Plan() *plan.Plan { return t.plan }
 
-// Engine returns the resolved execution engine.
-func (t *Trainer) Engine() Engine { return t.engine }
+// Engine returns the execution engine.
+func (t *Trainer) Engine() Engine { return t.cfg.Engine }
 
 // ExecutedBackwardActions returns the [stage][micro] compression grid
 // the engine actually applied to group 0's backward sends during the
@@ -524,8 +521,8 @@ func (t *Trainer) Metrics() *obs.Registry {
 	return m
 }
 
-// DPSyncMode returns the resolved synchronization mode the trainer runs.
-func (t *Trainer) DPSyncMode() DPSyncMode { return t.cfg.ResolvedDPSync() }
+// DPSyncMode returns the synchronization mode the trainer runs.
+func (t *Trainer) DPSyncMode() DPSyncMode { return t.cfg.DPSync }
 
 // Pool returns the trainer's workspace pool (exposed for benchmarks and
 // pool-reuse assertions).
@@ -597,10 +594,10 @@ func (t *Trainer) TrainIteration() float64 {
 }
 
 // pipelineActive reports whether micro-batches execute on the 1F1B
-// pipeline executor (multi-stage grid, collective runtime available,
-// engine not demoted to a serial loop).
+// pipeline executor (multi-stage grid, collective runtime available —
+// i.e. not the reference engine).
 func (t *Trainer) pipelineActive() bool {
-	return t.coll != nil && t.cfg.Stages > 1 && t.engine == EnginePipelined
+	return t.coll != nil && t.cfg.Stages > 1
 }
 
 // localRank reports whether rank (d, s) executes in this process. Always
@@ -621,12 +618,12 @@ func (t *Trainer) localRank(d, s int) bool {
 func (t *Trainer) LastIterationLossSum() float64 { return t.lastLossSum }
 
 // runSerial executes every group's micro-batches with the serial
-// in-loop path — the pre-executor oracle the pipeline executor is pinned
-// against bit for bit.
+// in-loop path: single-stage grids, and the EngineReference oracle the
+// pipeline executor is pinned against bit for bit.
 func (t *Trainer) runSerial(batches [][]microBatch, losses []float64) {
 	cfg := t.cfg
-	// Under Dist (single-stage grids only — Validate forces the pipelined
-	// executor otherwise) each process runs just its own DP group; remote
+	// Under Dist (single-stage grids only — multi-stage ones run the
+	// pipelined executor) each process runs just its own DP group; remote
 	// groups' micro-batches execute in their own processes.
 	local := make([]int, 0, cfg.DPGroups)
 	for d := 0; d < cfg.DPGroups; d++ {
@@ -681,24 +678,21 @@ type microBatch struct {
 
 // runMicroBatch executes forward + backward for one micro-batch on one DP
 // group, applying compressed backpropagation to the inter-stage backward
-// traffic.
+// traffic. With more than one stage this runs only on the reference
+// engine, which has no transport: nothing is accounted.
 func (t *Trainer) runMicroBatch(d, mi int, mb microBatch) float64 {
 	cfg := t.cfg
 	stages := t.replicas[d]
 	contexts, targets := mb.contexts, mb.targets
 
 	// Forward wave (uncompressed: §5 notes compressing forward traffic
-	// breaks convergence). Each boundary crossing is a real inter-stage
-	// transfer and is accounted on the pipeline link class just like the
-	// backward sends — the fwd+bwd sum is what the simnet prediction and
-	// the executable 1F1B executor both count.
+	// breaks convergence).
 	acts := make([]*tensor.Matrix, cfg.Stages)
 	fStart := t.rec.Now()
 	h := stages[0].ForwardTokens(contexts)
 	t.rec.Record(t.traceTrack(d, 0), obs.PhaseFwd, obs.LinkNone, fStart, 0, 0, d, mi)
 	acts[0] = h
 	for s := 1; s < cfg.Stages; s++ {
-		t.accountForward(d, s, mi, h.SizeBytes(compress.ElemBytes))
 		fStart = t.rec.Now()
 		h = stages[s].ForwardHidden(h)
 		t.rec.Record(t.traceTrack(d, s), obs.PhaseFwd, obs.LinkNone, fStart, 0, s, d, mi)
@@ -734,9 +728,9 @@ func (t *Trainer) runMicroBatch(d, mi int, mb microBatch) float64 {
 	return loss
 }
 
-// transferBackward ships the activation gradient g from stage s to s−1,
-// compressing per the configuration. fwdAct is the forward activation at
-// the boundary (for Fig. 11 statistics). The second result reports whether
+// transferBackward hands the activation gradient g from stage s to s−1,
+// compressing per the plan. fwdAct is the forward activation at the
+// boundary (for Fig. 11 statistics). The second result reports whether
 // the returned matrix was borrowed from the trainer's pool — the caller
 // must Put it back once the receiving stage has consumed it. (The lazy-
 // error-propagation reconstruction is ErrorFeedback-owned scratch and must
@@ -747,18 +741,14 @@ func (t *Trainer) transferBackward(d, s, mi int, g, fwdAct *tensor.Matrix) (sent
 		t.exec.bwd[s][mi] = compressed
 	}
 	if !compressed {
-		t.accountBackward(d, s, mi, g.SizeBytes(compress.ElemBytes))
 		return g, false
 	}
 	ef := t.cb[d][s]
 	var recon *tensor.Matrix
 	if t.plan.LazyErrorPropagation() {
-		var pl compress.Payload
-		pl, recon = ef.CompressWithFeedback(g)
-		t.accountBackward(d, s, mi, pl.WireBytes())
+		_, recon = ef.CompressWithFeedback(g)
 	} else {
 		pl := ef.Inner().Compress(g)
-		t.accountBackward(d, s, mi, pl.WireBytes())
 		recon = t.pool.GetUninit(g.Rows, g.Cols) // DecompressInto writes every element
 		pooled = true
 		ef.Inner().DecompressInto(recon, pl)
@@ -767,31 +757,4 @@ func (t *Trainer) transferBackward(d, s, mi int, g, fwdAct *tensor.Matrix) (sent
 		t.stats.Record(g, recon, fwdAct)
 	}
 	return recon, pooled
-}
-
-// accountBackward books one inter-stage backward transfer on the
-// collective transport's pipeline class (no-op on the serial path) and
-// records its wire mark: a zero-duration SendBwd span carrying the
-// exact accounted bytes, so the trace's PP span sum reconciles with the
-// transport counters byte-for-byte. Recorded only when a transport
-// exists — the reference engine accounts nothing, so it records no
-// wire-bearing spans either.
-func (t *Trainer) accountBackward(d, s, mi int, bytes int64) {
-	if t.coll != nil {
-		t.coll.accountBackward(d, s, bytes)
-		now := t.rec.Now()
-		t.rec.RecordSpan(t.traceTrack(d, s), obs.PhaseSendBwd, obs.LinkPP, now, now, bytes, s, d, mi)
-	}
-}
-
-// accountForward books one inter-stage forward activation transfer —
-// stage s−1 to stage s — on the pipeline class (no-op on the serial
-// path), recording the matching SendFwd wire mark. Forward traffic is
-// never compressed (§5), so bytes is always the dense activation size.
-func (t *Trainer) accountForward(d, s, mi int, bytes int64) {
-	if t.coll != nil {
-		t.coll.accountForward(d, s, bytes)
-		now := t.rec.Now()
-		t.rec.RecordSpan(t.traceTrack(d, s-1), obs.PhaseSendFwd, obs.LinkPP, now, now, bytes, s-1, d, mi)
-	}
 }

@@ -21,19 +21,18 @@
 //     path is allocation-free: the key renders into a pooled buffer and
 //     the sharded LRU looks it up without materializing a string.
 //
-//   - Singleflight + batch drain. Concurrent identical queries collapse
-//     onto one in-flight pricing (the rest attach as waiters); distinct
-//     queries against one scenario queue up and are drained in batches
-//     of up to MaxBatch through a single evaluator checkout, optionally
-//     after a short BatchWindow that lets a burst accumulate. Under
-//     saturation (all evaluators checked out) arrivals batch naturally.
+//   - Singleflight. Concurrent identical queries collapse onto one
+//     in-flight pricing (the rest attach as waiters). The leader checks
+//     out an evaluator, prices its one query, fills the cache and
+//     releases the waiters; distinct misses price concurrently on
+//     distinct evaluators, up to the pool bound.
 //
-// Every path — cached, uncached, coalesced, batched — returns estimates
+// Every path — cached, uncached, coalesced — returns estimates
 // bit-identical to a direct sim.Evaluator.Price call on a private
 // evaluator; the engine tests pin this under -race. Counters (requests,
-// cache hits/misses, coalesced queries, batch drains) live in an
+// cache hits/misses, coalesced and priced queries) live in an
 // obs.Registry, and an optional obs.Recorder captures one span per
-// batch drain (PhasePrice, Bytes = batch size).
+// pricing (PhasePrice, Bytes = 1).
 //
 // Server wraps the engine in the std-lib net/http JSON API that
 // cmd/optcc-serve exposes: POST /v1/price, POST /v1/autotune (the

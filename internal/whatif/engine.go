@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/autotune"
 	"repro/internal/core"
@@ -14,11 +13,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Defaults for Options' zero values.
-const (
-	DefaultCacheEntries = 1 << 16
-	DefaultMaxBatch     = 64
-)
+// DefaultCacheEntries is the cache capacity for Options.CacheEntries 0.
+const DefaultCacheEntries = 1 << 16
 
 // Options tunes the engine.
 type Options struct {
@@ -26,49 +22,38 @@ type Options struct {
 	// negative disables result caching entirely).
 	CacheEntries int
 	// MaxEvaluators bounds each frozen scenario's evaluator pool — and
-	// therefore the number of concurrent batch drainers per scenario
+	// therefore the number of concurrent pricings per scenario
 	// (0 = GOMAXPROCS).
 	MaxEvaluators int
-	// BatchWindow is how long a drain waits before its first checkout so
-	// a burst of queries accumulates into one batch (0 = drain
-	// immediately; batching still emerges under saturation, when every
-	// evaluator is checked out and arrivals queue behind the drains).
-	BatchWindow time.Duration
-	// MaxBatch caps the queries one evaluator checkout drains per loop
-	// (0 = DefaultMaxBatch).
-	MaxBatch int
 	// Registry receives the engine's counters (nil = a private registry;
 	// reachable either way via Engine.Registry).
 	Registry *obs.Registry
 	// Recorder, when non-nil with at least one track, records one span
-	// per batch drain on track 0: PhasePrice, Bytes = batch size.
+	// per pricing on track 0: PhasePrice, Bytes = 1.
 	Recorder *obs.Recorder
 }
 
 // Engine is the concurrency-safe scenario-evaluation engine: a registry
 // of frozen scenarios, each with a bounded sim.Evaluator pool, behind a
-// shared plan-keyed LRU with singleflight collapse and batch draining.
+// shared plan-keyed LRU with singleflight collapse.
 // All methods are safe for concurrent use; every returned Estimate is
 // bit-identical to a direct sim.Evaluator.Price on a private evaluator.
 type Engine struct {
-	opts     Options
-	cache    *cache
-	reg      *obs.Registry
-	rec      *obs.Recorder
-	maxBatch int
+	opts  Options
+	cache *cache
+	reg   *obs.Registry
+	rec   *obs.Recorder
 
 	mu        sync.Mutex
 	scenarios map[string]*scenarioState
 	nextID    int
 
-	reqs, hits, misses, coalesced     *obs.Counter
-	batches, batchedReqs, priced      *obs.Counter
-	autotunes, evCreated, priceErrors *obs.Counter
+	reqs, hits, misses, coalesced, priced *obs.Counter
+	autotunes, evCreated, priceErrors     *obs.Counter
 }
 
 // NewEngine builds an engine. The zero Options value gives the serving
-// defaults: 64Ki-entry cache, GOMAXPROCS evaluators per scenario,
-// immediate drains of up to 64 queries.
+// defaults: 64Ki-entry cache, GOMAXPROCS evaluators per scenario.
 func NewEngine(opts Options) *Engine {
 	reg := opts.Registry
 	if reg == nil {
@@ -82,10 +67,6 @@ func NewEngine(opts Options) *Engine {
 		}
 		e.cache = newCache(n)
 	}
-	e.maxBatch = opts.MaxBatch
-	if e.maxBatch <= 0 {
-		e.maxBatch = DefaultMaxBatch
-	}
 	if opts.Recorder != nil && opts.Recorder.Tracks() > 0 {
 		e.rec = opts.Recorder
 	}
@@ -93,8 +74,6 @@ func NewEngine(opts Options) *Engine {
 	e.hits = reg.Counter("whatif.cache_hits")
 	e.misses = reg.Counter("whatif.cache_misses")
 	e.coalesced = reg.Counter("whatif.coalesced")
-	e.batches = reg.Counter("whatif.batches")
-	e.batchedReqs = reg.Counter("whatif.batched_requests")
 	e.priced = reg.Counter("whatif.priced")
 	e.autotunes = reg.Counter("whatif.autotunes")
 	e.evCreated = reg.Counter("whatif.evaluators_created")
@@ -105,10 +84,12 @@ func NewEngine(opts Options) *Engine {
 // Registry returns the engine's metrics registry (for /metrics export).
 func (e *Engine) Registry() *obs.Registry { return e.reg }
 
-// Stats is a point-in-time snapshot of the engine counters.
+// Stats is a point-in-time snapshot of the engine counters. Batches
+// counts evaluator checkouts on the price path; each prices exactly one
+// query, so it always equals Priced.
 type Stats struct {
 	Requests, CacheHits, CacheMisses, Coalesced int64
-	Batches, BatchedRequests, Priced            int64
+	Batches, Priced                             int64
 	Autotunes, EvaluatorsCreated, PriceErrors   int64
 }
 
@@ -119,8 +100,7 @@ func (e *Engine) Stats() Stats {
 		CacheHits:         e.hits.Load(),
 		CacheMisses:       e.misses.Load(),
 		Coalesced:         e.coalesced.Load(),
-		Batches:           e.batches.Load(),
-		BatchedRequests:   e.batchedReqs.Load(),
+		Batches:           e.priced.Load(),
 		Priced:            e.priced.Load(),
 		Autotunes:         e.autotunes.Load(),
 		EvaluatorsCreated: e.evCreated.Load(),
@@ -138,31 +118,26 @@ func (e *Engine) CacheLen() int {
 }
 
 // scenarioState is one frozen scenario's serving state: the evaluator
-// pool plus the singleflight/batch queue.
+// pool plus the singleflight table.
 type scenarioState struct {
 	eng  *Engine
 	id   int // cache-key prefix, unique per scenario
 	base sim.Scenario
 
-	max     int64 // pool bound == max concurrent drainers
+	max     int64 // pool bound == max concurrent pricings
 	created atomic.Int64
 	pool    chan *sim.Evaluator
 
-	mu       sync.Mutex
-	pending  map[string]*call // in-flight queries by plan key
-	queue    []*call          // FIFO drain queue
-	drainers int
+	mu      sync.Mutex
+	pending map[string]*call // in-flight queries by plan key
 }
 
-// call is one in-flight pricing: the query plus the completion channel
+// call is one in-flight pricing: its result plus the completion channel
 // its waiters block on.
 type call struct {
-	key    string
-	cfg    core.Config
-	bucket int64
-	done   chan struct{}
-	est    sim.Estimate
-	err    error
+	done chan struct{}
+	est  sim.Estimate
+	err  error
 }
 
 func (c *call) wait(ctx context.Context) (sim.Estimate, error) {
@@ -260,8 +235,10 @@ func (h *Handle) Price(ctx context.Context, cfg core.Config, bucketBytes int64) 
 }
 
 // price is the miss path: singleflight-collapse onto an in-flight call
-// for the same key, or enqueue a new call and — when a drainer slot is
-// free — become the drainer.
+// for the same key, or lead a new call — check out an evaluator, price
+// the query, fill the cache, then release the waiters. The cache is
+// re-checked under the lock, so a key is priced at most once even when a
+// request misses the cache just before the leader fills it.
 func (st *scenarioState) price(ctx context.Context, key []byte, cfg core.Config, bucketBytes int64) (sim.Estimate, error) {
 	e := st.eng
 	st.mu.Lock()
@@ -270,96 +247,44 @@ func (st *scenarioState) price(ctx context.Context, key []byte, cfg core.Config,
 		e.coalesced.Add(1)
 		return c.wait(ctx)
 	}
-	c := &call{key: string(key), cfg: cfg, bucket: bucketBytes, done: make(chan struct{})}
-	st.pending[c.key] = c
-	st.queue = append(st.queue, c)
-	lead := st.drainers < int(st.max)
-	if lead {
-		st.drainers++
-	}
-	st.mu.Unlock()
-	if lead {
-		st.drain(ctx)
-	}
-	return c.wait(ctx)
-}
-
-// drain services the scenario's queue: optionally wait the batch
-// window, check out one evaluator, then price batches of up to MaxBatch
-// until the queue is empty. Results land in the cache before their
-// calls complete, so a key is priced at most once even as waiters
-// stream in. The drainer slot is released only under the queue lock
-// with an empty queue — an enqueuer that finds every slot taken is
-// guaranteed an active drainer will see its call.
-func (st *scenarioState) drain(ctx context.Context) {
-	e := st.eng
-	if w := e.opts.BatchWindow; w > 0 {
-		t := time.NewTimer(w)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop() // cancelled leader still drains: the queue may hold others' calls
-		}
-	}
-	ev, evErr := st.checkout()
-	var batch []*call
-	for {
-		st.mu.Lock()
-		if len(st.queue) == 0 {
-			st.drainers--
+	if e.cache != nil {
+		if est, ok := e.cache.get(key); ok {
 			st.mu.Unlock()
-			break
+			e.coalesced.Add(1)
+			return est, nil
 		}
-		n := len(st.queue)
-		if n > e.maxBatch {
-			n = e.maxBatch
-		}
-		batch = append(batch[:0], st.queue[:n]...)
-		rest := copy(st.queue, st.queue[n:])
-		for i := rest; i < len(st.queue); i++ {
-			st.queue[i] = nil
-		}
-		st.queue = st.queue[:rest]
-		st.mu.Unlock()
+	}
+	k := string(key)
+	c := &call{done: make(chan struct{})}
+	st.pending[k] = c
+	st.mu.Unlock()
 
+	if ev, err := st.checkout(); err != nil {
+		c.err = err
+	} else {
 		start := e.rec.Now()
-		for _, c := range batch {
-			if evErr != nil {
-				c.err = evErr
-				e.priceErrors.Add(1)
-				continue
-			}
-			c.est, c.err = ev.Price(c.cfg, c.bucket)
-			e.priced.Add(1)
-			if c.err != nil {
-				e.priceErrors.Add(1)
-			} else if e.cache != nil {
-				e.cache.put(c.key, c.est)
-			}
-		}
-		e.rec.Record(0, obs.PhasePrice, obs.LinkNone, start, int64(len(batch)), -1, -1, len(batch))
-		e.batches.Add(1)
-		e.batchedReqs.Add(int64(len(batch)))
-
-		st.mu.Lock()
-		for _, c := range batch {
-			delete(st.pending, c.key)
-		}
-		st.mu.Unlock()
-		for _, c := range batch {
-			close(c.done)
-		}
-	}
-	if ev != nil {
+		c.est, c.err = ev.Price(cfg, bucketBytes)
+		e.rec.Record(0, obs.PhasePrice, obs.LinkNone, start, 1, -1, -1, -1)
 		st.pool <- ev
+		e.priced.Add(1)
 	}
+	if c.err != nil {
+		e.priceErrors.Add(1)
+	} else if e.cache != nil {
+		e.cache.put(k, c.est)
+	}
+	st.mu.Lock()
+	delete(st.pending, k)
+	st.mu.Unlock()
+	close(c.done)
+	return c.est, c.err
 }
 
 // checkout acquires an evaluator: pooled if one is free, freshly built
 // while under the bound, else it blocks for the next checkin. No ctx:
-// the drain may be servicing other callers' queries, and evaluator
-// turnaround is microseconds, so a bounded block beats failing someone
-// else's request with this caller's deadline.
+// the leader prices for every waiter coalesced onto its call, and
+// evaluator turnaround is microseconds, so a bounded block beats failing
+// someone else's request with this caller's deadline.
 func (st *scenarioState) checkout() (*sim.Evaluator, error) {
 	select {
 	case ev := <-st.pool:

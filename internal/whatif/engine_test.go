@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/autotune"
 	"repro/internal/cluster"
@@ -97,11 +96,12 @@ func TestPriceBitIdentical(t *testing.T) {
 
 // TestConcurrentBitIdentical hammers one handle from GOMAXPROCS workers
 // with overlapping queries, so results come back through every path —
-// fresh pricing, cache hits, singleflight waiters, multi-query batch
-// drains — and each must equal the serial reference exactly. Run under
-// -race this is also the aliasing check at the engine level.
+// fresh pricing, cache hits, singleflight waiters, concurrent checkouts
+// of distinct evaluators — and each must equal the serial reference
+// exactly. Run under -race this is also the aliasing check at the
+// engine level.
 func TestConcurrentBitIdentical(t *testing.T) {
-	e := NewEngine(Options{BatchWindow: 100 * time.Microsecond})
+	e := NewEngine(Options{})
 	h, err := e.Open(testScenario())
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestConcurrentBitIdentical(t *testing.T) {
 // price exactly once: every request either coalesces onto the in-flight
 // call or hits the cache it filled.
 func TestSingleflightCollapses(t *testing.T) {
-	e := NewEngine(Options{BatchWindow: time.Millisecond})
+	e := NewEngine(Options{})
 	h, err := e.Open(testScenario())
 	if err != nil {
 		t.Fatal(err)
@@ -182,35 +182,47 @@ func TestSingleflightCollapses(t *testing.T) {
 	}
 }
 
-// TestBatchDraining pins that queued distinct queries drain in batches
-// through one evaluator checkout: with a single evaluator and a batch
-// window, n queries produce far fewer drains than queries, and every
-// query is accounted for in batched_requests.
-func TestBatchDraining(t *testing.T) {
-	e := NewEngine(Options{MaxEvaluators: 1, BatchWindow: 50 * time.Millisecond})
+// TestEvaluatorPoolBound pins the pool bound under contention: with a
+// single evaluator, n concurrent distinct queries all price on that one
+// evaluator, one checkout each, and every result is bit-identical to
+// the direct evaluator.
+func TestEvaluatorPoolBound(t *testing.T) {
+	e := NewEngine(Options{MaxEvaluators: 1})
 	h, err := e.Open(testScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ev, err := sim.NewEvaluator(h.Scenario())
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 16
+	want := make([]sim.Estimate, n)
+	for i := range want {
+		// Distinct plans: bucket budget is part of the key.
+		if want[i], err = ev.Price(core.CBFESC(), int64(i+1)<<20); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Distinct plans: bucket budget is part of the key.
-			if _, _, err := h.Price(context.Background(), core.CBFESC(), int64(i+1)<<20); err != nil {
+			got, _, err := h.Price(context.Background(), core.CBFESC(), int64(i+1)<<20)
+			if err != nil {
 				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("query %d diverged from the direct evaluator", i)
 			}
 		}(i)
 	}
 	wg.Wait()
 	st := e.Stats()
-	if st.Priced != n || st.BatchedRequests != n {
-		t.Errorf("priced = %d, batched_requests = %d, want %d", st.Priced, st.BatchedRequests, n)
-	}
-	if st.Batches >= n {
-		t.Errorf("batches = %d for %d queries: no batching happened", st.Batches, n)
+	if st.Priced != n || st.Batches != n {
+		t.Errorf("priced = %d, batches = %d, want %d each (one checkout per priced query)", st.Priced, st.Batches, n)
 	}
 	if st.EvaluatorsCreated != 1 {
 		t.Errorf("evaluators_created = %d, want 1", st.EvaluatorsCreated)
@@ -326,7 +338,7 @@ func TestOpenDeduplicatesScenarios(t *testing.T) {
 }
 
 // TestPriceErrorPropagates pins that an invalid config errors without
-// poisoning the cache or wedging the drain loop.
+// poisoning the cache or wedging the scenario's pending table.
 func TestPriceErrorPropagates(t *testing.T) {
 	e := NewEngine(Options{})
 	h, err := e.Open(testScenario())
@@ -375,7 +387,7 @@ func TestCacheHitPathAllocationFree(t *testing.T) {
 }
 
 // TestContextCancellation pins that a cancelled waiter unblocks with
-// ctx.Err while the drain (serving others) completes independently.
+// ctx.Err while the pricing (serving others) completes independently.
 func TestContextCancellation(t *testing.T) {
 	e := NewEngine(Options{})
 	h, err := e.Open(testScenario())
@@ -395,8 +407,8 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-// TestRecorderSpans pins the per-drain span: track 0 gets one
-// PhasePrice span per batch with Bytes = batch size.
+// TestRecorderSpans pins the per-pricing span: track 0 gets one
+// PhasePrice span per evaluator checkout with Bytes = 1.
 func TestRecorderSpans(t *testing.T) {
 	rec := obs.NewRecorder([]string{"whatif"}, 1024)
 	e := NewEngine(Options{Recorder: rec})
@@ -412,7 +424,7 @@ func TestRecorderSpans(t *testing.T) {
 	}
 	st := e.Stats()
 	if got := int64(rec.Len(0)); got != st.Batches {
-		t.Fatalf("recorded %d spans, want one per batch (%d)", got, st.Batches)
+		t.Fatalf("recorded %d spans, want one per checkout (%d)", got, st.Batches)
 	}
 	var bytes int64
 	rec.Spans(0, func(s obs.Span) {
@@ -421,8 +433,8 @@ func TestRecorderSpans(t *testing.T) {
 		}
 		bytes += s.Bytes
 	})
-	if bytes != st.BatchedRequests {
-		t.Errorf("span bytes total %d, want batched_requests %d", bytes, st.BatchedRequests)
+	if bytes != st.Priced {
+		t.Errorf("span bytes total %d, want priced %d", bytes, st.Priced)
 	}
 }
 
