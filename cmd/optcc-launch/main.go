@@ -30,7 +30,6 @@ func main() {
 	pp := flag.Int("pp", 0, "pipeline-parallel stages (0 = config default)")
 	dp := flag.Int("dp", 0, "data-parallel groups (0 = config default)")
 	transport := flag.String("transport", "unix", "wire transport between ranks: unix or tcp")
-	engine := flag.String("engine", "pipelined", "execution engine passed to every rank")
 	dpSync := flag.String("dp-sync", "overlapped", "DP synchronization mode passed to every rank")
 	cbAlg := flag.String("cb-alg", "", "inter-stage compressor family passed to every rank (empty = the config's)")
 	dpAlg := flag.String("dp-alg", "", "DP-sync compressor family passed to every rank (empty = the config's)")
@@ -46,13 +45,13 @@ func main() {
 	if *dpAlg != "" {
 		algs = append(algs, "-dp-alg", *dpAlg)
 	}
-	if err := run(*config, *iters, *seed, *pp, *dp, *transport, *engine, *dpSync, *trainBin, algs); err != nil {
+	if err := run(*config, *iters, *seed, *pp, *dp, *transport, *dpSync, *trainBin, algs); err != nil {
 		fmt.Fprintln(os.Stderr, "optcc-launch:", err)
 		os.Exit(1)
 	}
 }
 
-func run(config string, iters int, seed int64, pp, dp int, transport, engine, dpSync, trainBin string, algs []string) error {
+func run(config string, iters int, seed int64, pp, dp int, transport, dpSync, trainBin string, algs []string) error {
 	if transport != "unix" && transport != "tcp" {
 		return fmt.Errorf("unknown -transport %q (want unix or tcp)", transport)
 	}
@@ -96,7 +95,6 @@ func run(config string, iters int, seed int64, pp, dp int, transport, engine, dp
 			"-seed", fmt.Sprint(seed),
 			"-pp", fmt.Sprint(cfg.Stages),
 			"-dp", fmt.Sprint(cfg.DPGroups),
-			"-engine", engine,
 			"-dp-sync", dpSync,
 			"-rank", fmt.Sprint(r),
 			"-transport", transport,

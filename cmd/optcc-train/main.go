@@ -49,7 +49,6 @@ func main() {
 	evalEvery := flag.Int("eval-every", 100, "validation cadence")
 	seed := flag.Int64("seed", 7, "random seed")
 	stats := flag.Bool("stats", false, "collect Fig. 11 error/activation statistics")
-	parallel := flag.Bool("parallel", false, "run data-parallel groups on separate goroutines (bit-identical results)")
 	engine := flag.String("engine", "pipelined", "execution engine: pipelined (1F1B executor over the collective runtime) or reference (fully serial oracle)")
 	cbAlg := flag.String("cb-alg", "", "override the inter-stage compressor family by registry name (powersgd, topk, randomk, terngrad, ...)")
 	dpAlg := flag.String("dp-alg", "", "override the DP-sync compressor family by registry name (powersgd, terngrad, ...)")
@@ -105,7 +104,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Model.Seed = *seed
 	cfg.CollectStats = *stats
-	cfg.ParallelGroups = *parallel
 	cfg.Engine = eng
 	cfg.BucketBytes = *bucketBytes
 	if *pp > 0 {

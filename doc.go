@@ -19,22 +19,23 @@
 // experiment harness (internal/experiments) that regenerates each table
 // and figure.
 //
-// Training runs on an executable 1F1B pipeline by default: internal/train
-// drives internal/pipeline's schedule with one goroutine per (dp, stage)
-// rank, shipping forward activations and compressed backward
-// activation-gradients over the transport — bit-identical to the serial
-// oracle, with executed pp-class traffic equal to sim.PredictInterStage's
-// fwd+bwd model exactly. Data-parallel synchronization is overlapped with
-// the backward pass: the plan compiles a byte-budgeted bucket schedule,
-// each bucket is issued as one asynchronous collective — one ring over
-// its dense gradients laid end to end, one all-gather of its compressed
-// gradients' payloads (*Pending handles, per-rank op queues,
-// deterministic in-flight execution) — the moment the stage's gradients
-// are final, and the iteration waits on every handle before the
-// optimizer step — still bit-identical, with executed per-bucket wire
-// volume equal to sim.PredictDPBucketBytes exactly, messages and steps
-// per bucket rather than per gradient, and the exposed tail modeled by
-// sim.PredictDPOverlap.
+// Training runs on an executable 1F1B pipeline on every grid, single-stage
+// included: internal/train drives internal/pipeline's schedule with one
+// goroutine per (dp, stage) rank, shipping forward activations and
+// compressed backward activation-gradients over the transport —
+// bit-identical to the serial reference engine, with executed pp-class
+// traffic equal to sim.PredictInterStage's fwd+bwd model exactly.
+// Data-parallel synchronization is overlapped with the backward pass:
+// the plan compiles a byte-budgeted bucket schedule, each bucket is
+// issued as one asynchronous collective — one ring over its dense
+// gradients laid end to end, one all-gather of its compressed gradients'
+// payloads (*Pending handles, per-rank op queues, deterministic in-flight
+// execution) — the moment the stage's gradients are final (or, under
+// blocking sync, at the join), and the iteration waits on every handle
+// before the optimizer step — still bit-identical, with executed
+// per-bucket wire volume equal to sim.PredictDPBucketBytes exactly,
+// messages and steps per bucket rather than per gradient, and the exposed
+// tail modeled by sim.PredictDPOverlap.
 // Checkpoints (v2) persist the full resume state: weights, optimizer
 // momentum, iteration/sampling position, and every error-feedback
 // residual and PowerSGD warm-start factor.

@@ -181,12 +181,6 @@ func (r *Runtime) Stats() Stats { return r.tr.Stats() }
 // Pool returns the runtime's workspace pool.
 func (r *Runtime) Pool() *tensor.Pool { return r.pool }
 
-// AccountP2P accounts an in-process point-to-point transfer (see
-// Transport.AccountP2P).
-func (r *Runtime) AccountP2P(c Class, from, to int, bytes int64) {
-	r.tr.AccountP2P(c, from, to, bytes)
-}
-
 // NewGroup binds a set of ranks, in ring order, to a link class. The ring
 // order is also the deterministic reduction order. Ranks must be distinct
 // and inside the runtime's world. Groups over disjoint rank sets may run

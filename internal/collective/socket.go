@@ -569,15 +569,6 @@ func (t *SocketTransport) AddSteps(c Class, n int) {
 	t.counters[c].steps.Add(int64(n))
 }
 
-// AccountP2P implements Transport (validated exactly like MemTransport's).
-func (t *SocketTransport) AccountP2P(c Class, from, to int, bytes int64) {
-	t.checkClass(c)
-	t.checkPair(from, to)
-	t.counters[c].bytes.Add(bytes)
-	t.counters[c].messages.Add(1)
-	t.counters[c].steps.Add(1)
-}
-
 // Remote implements Transport: payloads must ship in frames.
 func (t *SocketTransport) Remote() bool { return true }
 

@@ -116,11 +116,6 @@ type Transport interface {
 	// AddSteps accounts n synchronized collective steps on class c (a
 	// step is one ring round in which every participant sends once).
 	AddSteps(c Class, n int)
-	// AccountP2P accounts a point-to-point transfer of bytes on class c
-	// without moving a token — used where the payload is handed off
-	// in-process but the traffic must still be measured (the trainer's
-	// inter-stage backward sends).
-	AccountP2P(c Class, from, to int, bytes int64)
 	// Remote reports whether payload data must travel inside messages
 	// (serialized onto a wire) rather than through shared memory. The
 	// collective schedules attach each chunk's and payload's data to the
@@ -273,20 +268,6 @@ func (t *MemTransport) RecvP2P(c Class, to, from int) Msg {
 // AddSteps implements Transport.
 func (t *MemTransport) AddSteps(c Class, n int) {
 	t.counters[c].steps.Add(int64(n))
-}
-
-// AccountP2P implements Transport. The payload moved in-process, so only
-// the counters change — but the rank pair is still validated (panicking
-// like every other misaddressed transport call) so a miscomputed route
-// cannot silently account traffic on a link that does not exist.
-func (t *MemTransport) AccountP2P(c Class, from, to int, bytes int64) {
-	if c < 0 || c >= numClasses {
-		panic(fmt.Sprintf("collective: class %d outside [0,%d)", int(c), int(numClasses)))
-	}
-	t.pairIdx(from, to)
-	t.counters[c].bytes.Add(bytes)
-	t.counters[c].messages.Add(1)
-	t.counters[c].steps.Add(1)
 }
 
 // Remote implements Transport: payloads move through shared memory.

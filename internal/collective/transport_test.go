@@ -39,41 +39,3 @@ func TestMemTransportDepthClamp(t *testing.T) {
 		t.Fatalf("p2p capacity %d, want 5", got)
 	}
 }
-
-// TestMemTransportAccountP2PBounds pins AccountP2P's validation: a
-// misaddressed accounting call panics instead of silently counting
-// traffic on a link that does not exist.
-func TestMemTransportAccountP2PBounds(t *testing.T) {
-	tr := NewMemTransport(3)
-
-	before := tr.Stats().For(ClassPP)
-	tr.AccountP2P(ClassPP, 0, 2, 128)
-	got := tr.Stats().For(ClassPP).Sub3(before)
-	if got.Bytes != 128 || got.Messages != 1 || got.Steps != 1 {
-		t.Fatalf("valid AccountP2P counted %+v", got)
-	}
-
-	expectPanic(t, "negative class", func() { tr.AccountP2P(Class(-1), 0, 1, 8) })
-	expectPanic(t, "class out of range", func() { tr.AccountP2P(numClasses, 0, 1, 8) })
-	expectPanic(t, "from below range", func() { tr.AccountP2P(ClassPP, -1, 1, 8) })
-	expectPanic(t, "from above range", func() { tr.AccountP2P(ClassPP, 3, 1, 8) })
-	expectPanic(t, "to below range", func() { tr.AccountP2P(ClassPP, 0, -1, 8) })
-	expectPanic(t, "to above range", func() { tr.AccountP2P(ClassPP, 0, 3, 8) })
-
-	// Socket transport validates identically.
-	strs := newSocketGrid(t, "unix", 2)
-	strs[0].AccountP2P(ClassPP, 0, 1, 64)
-	if s := strs[0].Stats().For(ClassPP); s.Bytes != 64 || s.Messages != 1 || s.Steps != 1 {
-		t.Fatalf("socket AccountP2P counted %+v", s)
-	}
-	expectPanic(t, "socket class out of range", func() { strs[0].AccountP2P(numClasses, 0, 1, 8) })
-	expectPanic(t, "socket rank out of range", func() { strs[0].AccountP2P(ClassPP, 0, 2, 8) })
-}
-
-// Sub3 subtracts o field-wise (test helper for windowed class stats).
-func (s ClassStats) Sub3(o ClassStats) ClassStats {
-	s.Bytes -= o.Bytes
-	s.Messages -= o.Messages
-	s.Steps -= o.Steps
-	return s
-}

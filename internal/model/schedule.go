@@ -3,8 +3,6 @@ package model
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/tensor"
 )
 
 // Learning-rate schedules. Large-model pretraining (and the paper's §9.1
@@ -15,12 +13,6 @@ import (
 type LRSchedule interface {
 	LR(iter int) float64
 }
-
-// ConstantLR returns lr at every step.
-type ConstantLR float64
-
-// LR implements LRSchedule.
-func (c ConstantLR) LR(int) float64 { return float64(c) }
 
 // WarmupCosine is the GPT-2/Megatron schedule: linear warmup from 0 to
 // Peak over Warmup iterations, then cosine decay to Floor at Total.
@@ -54,49 +46,4 @@ func (s *WarmupCosine) LR(iter int) float64 {
 	}
 	progress := float64(iter-s.Warmup) / float64(s.Total-s.Warmup)
 	return s.Floor + (s.Peak-s.Floor)*0.5*(1+math.Cos(math.Pi*progress))
-}
-
-// StepDecay halves (or multiplies by Factor) the LR every Every steps.
-type StepDecay struct {
-	Initial float64
-	Factor  float64
-	Every   int
-}
-
-// LR implements LRSchedule.
-func (s StepDecay) LR(iter int) float64 {
-	if s.Every <= 0 {
-		return s.Initial
-	}
-	return s.Initial * math.Pow(s.Factor, float64(iter/s.Every))
-}
-
-// WeightDecaySGD is momentum SGD with decoupled weight decay
-// (p ← p·(1−lr·λ) before the gradient step), the standard regularizer for
-// transformer pretraining.
-type WeightDecaySGD struct {
-	inner  *SGD
-	Lambda float64
-}
-
-// NewWeightDecaySGD returns momentum SGD with decoupled weight decay λ.
-func NewWeightDecaySGD(lr, momentum, clip, lambda float64) *WeightDecaySGD {
-	return &WeightDecaySGD{inner: NewSGD(lr, momentum, clip), Lambda: lambda}
-}
-
-// SetLR updates the learning rate (for schedule-driven training).
-func (o *WeightDecaySGD) SetLR(lr float64) { o.inner.LR = lr }
-
-// Step applies decay then the SGD update.
-func (o *WeightDecaySGD) Step(params, grads []*tensor.Matrix) {
-	if o.Lambda > 0 {
-		shrink := 1 - o.inner.LR*o.Lambda
-		if shrink < 0 {
-			shrink = 0
-		}
-		for _, p := range params {
-			p.Scale(shrink)
-		}
-	}
-	o.inner.Step(params, grads)
 }

@@ -3,16 +3,7 @@ package model
 import (
 	"math"
 	"testing"
-
-	"repro/internal/tensor"
 )
-
-func TestConstantLR(t *testing.T) {
-	s := ConstantLR(0.3)
-	if s.LR(0) != 0.3 || s.LR(10000) != 0.3 {
-		t.Fatal("constant LR not constant")
-	}
-}
 
 func TestWarmupCosineShape(t *testing.T) {
 	s, err := NewWarmupCosine(1.0, 0.1, 100, 1000)
@@ -54,55 +45,5 @@ func TestWarmupCosineValidation(t *testing.T) {
 		if _, err := NewWarmupCosine(c.peak, c.floor, c.warmup, c.total); err == nil {
 			t.Fatalf("case %d accepted", i)
 		}
-	}
-}
-
-func TestStepDecay(t *testing.T) {
-	s := StepDecay{Initial: 1, Factor: 0.5, Every: 10}
-	if s.LR(0) != 1 || s.LR(9) != 1 {
-		t.Fatal("first window wrong")
-	}
-	if s.LR(10) != 0.5 || s.LR(25) != 0.25 {
-		t.Fatalf("decay wrong: %v %v", s.LR(10), s.LR(25))
-	}
-	zero := StepDecay{Initial: 1, Factor: 0.5, Every: 0}
-	if zero.LR(100) != 1 {
-		t.Fatal("Every=0 should be constant")
-	}
-}
-
-func TestWeightDecayShrinksParams(t *testing.T) {
-	p := tensor.FromSlice(1, 1, []float64{1})
-	g := tensor.New(1, 1) // zero gradient: only decay acts
-	o := NewWeightDecaySGD(0.1, 0, 0, 0.5)
-	o.Step([]*tensor.Matrix{p}, []*tensor.Matrix{g})
-	if math.Abs(p.At(0, 0)-0.95) > 1e-12 {
-		t.Fatalf("decay wrong: %v want 0.95", p.At(0, 0))
-	}
-}
-
-func TestWeightDecayZeroLambdaMatchesSGD(t *testing.T) {
-	p1 := tensor.FromSlice(1, 1, []float64{1})
-	p2 := p1.Clone()
-	g := tensor.FromSlice(1, 1, []float64{0.3})
-	a := NewWeightDecaySGD(0.1, 0.9, 0, 0)
-	b := NewSGD(0.1, 0.9, 0)
-	for i := 0; i < 5; i++ {
-		a.Step([]*tensor.Matrix{p1}, []*tensor.Matrix{g})
-		b.Step([]*tensor.Matrix{p2}, []*tensor.Matrix{g})
-	}
-	if !p1.Equal(p2, 1e-12) {
-		t.Fatal("λ=0 should match plain SGD")
-	}
-}
-
-func TestWeightDecaySetLR(t *testing.T) {
-	o := NewWeightDecaySGD(0.1, 0, 0, 0)
-	o.SetLR(0.01)
-	p := tensor.FromSlice(1, 1, []float64{0})
-	g := tensor.FromSlice(1, 1, []float64{1})
-	o.Step([]*tensor.Matrix{p}, []*tensor.Matrix{g})
-	if math.Abs(p.At(0, 0)+0.01) > 1e-12 {
-		t.Fatalf("SetLR not applied: %v", p.At(0, 0))
 	}
 }

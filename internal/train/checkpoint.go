@@ -220,22 +220,8 @@ func (t *Trainer) SaveCheckpoint(w io.Writer) error {
 	}
 
 	// DP-sync (selective stage compression) error-feedback state, keyed
-	// (stage, group, grad) in sorted order.
-	keys := make([][3]int, 0, len(t.dpc))
-	t.dpcMu.Lock()
-	for k := range t.dpc {
-		keys = append(keys, k)
-	}
-	t.dpcMu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		if keys[i][1] != keys[j][1] {
-			return keys[i][1] < keys[j][1]
-		}
-		return keys[i][2] < keys[j][2]
-	})
+	// (stage, group, grad) in table order. A compressor that has not run
+	// yet holds no residual or warm factor, so it writes nothing.
 	type dpcResEntry struct {
 		k [3]int
 		m *tensor.Matrix
@@ -245,8 +231,7 @@ func (t *Trainer) SaveCheckpoint(w io.Writer) error {
 		k [3]int
 		e warmEntry
 	}
-	for _, k := range keys {
-		ef := t.dpEF(k[0], k[1], k[2])
+	t.eachDPEF(func(k [3]int, ef *compress.ErrorFeedback) {
 		var ms []*tensor.Matrix
 		ef.EachResidual(func(res *tensor.Matrix) { ms = append(ms, res) })
 		for _, m := range sortedMats(ms) {
@@ -260,7 +245,7 @@ func (t *Trainer) SaveCheckpoint(w io.Writer) error {
 				}{k, e})
 			}
 		}
-	}
+	})
 	if err := writeU32s(w, uint32(len(dpcRes))); err != nil {
 		return fmt.Errorf("train: checkpoint dp residuals: %w", err)
 	}
@@ -476,14 +461,19 @@ func (t *Trainer) resetResumeState() {
 			}
 		}
 	}
-	t.dpcMu.Lock()
-	efs := make([]*compress.ErrorFeedback, 0, len(t.dpc))
-	for _, ef := range t.dpc {
-		efs = append(efs, ef)
-	}
-	t.dpcMu.Unlock()
-	for _, ef := range efs {
-		resetEF(ef)
+	t.eachDPEF(func(_ [3]int, ef *compress.ErrorFeedback) { resetEF(ef) })
+}
+
+// eachDPEF visits every DP-sync compressor in (stage, group, grad) order.
+func (t *Trainer) eachDPEF(fn func(k [3]int, ef *compress.ErrorFeedback)) {
+	for s, groups := range t.dpEFs {
+		for dd, efs := range groups {
+			for gi, ef := range efs {
+				if ef != nil {
+					fn([3]int{s, dd, gi}, ef)
+				}
+			}
+		}
 	}
 }
 
@@ -497,17 +487,15 @@ func (t *Trainer) cbFor(d, s int) (*compress.ErrorFeedback, error) {
 	return t.cb[d][s], nil
 }
 
-// dpEFFor validates a checkpoint's DP-sync state key against the
-// configuration before resolving the compressor — dpEF itself would
-// silently fabricate state for any key (it exists for lazy creation on
-// the sync path), which would mask a checkpoint/config mismatch.
+// dpEFFor returns the DP-sync compressor for a checkpoint's state key,
+// erroring when the configuration has no such compressor (a
+// checkpoint/config mismatch).
 func (t *Trainer) dpEFFor(s, dd, gi int) (*compress.ErrorFeedback, error) {
-	if s < 0 || s >= t.cfg.Stages || dd < 0 || dd >= t.cfg.DPGroups ||
-		gi < 0 || gi >= len(t.grads[0][s]) ||
-		!t.plan.DPCompressed(s) || !compressibleShape(t.grads[0][s][gi]) {
+	if s < 0 || s >= len(t.dpEFs) || dd < 0 || dd >= len(t.dpEFs[s]) ||
+		gi < 0 || gi >= len(t.dpEFs[s][dd]) || t.dpEFs[s][dd][gi] == nil {
 		return nil, fmt.Errorf("train: checkpoint carries DP-sync compressor state for key (%d,%d,%d) the configuration does not have", s, dd, gi)
 	}
-	return t.dpEF(s, dd, gi), nil
+	return t.dpEFs[s][dd][gi], nil
 }
 
 // restoreSampling rewinds the trainer to iteration iter: the iteration

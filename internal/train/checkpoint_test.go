@@ -327,37 +327,3 @@ func TestCheckpointRejectsArchitectureMismatch(t *testing.T) {
 		t.Fatal("architecture mismatch accepted")
 	}
 }
-
-func TestParallelGroupsBitIdentical(t *testing.T) {
-	c := testCorpus(t)
-	seq := testConfig(core.CBFESC())
-	seq.Opt.CBRank = 2
-	seq.Opt.DPRank = 2
-	par := seq
-	par.ParallelGroups = true
-
-	a, err := New(seq, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(par, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		la := a.TrainIteration()
-		lb := b.TrainIteration()
-		if la != lb {
-			t.Fatalf("iteration %d: parallel loss %v != sequential %v", i, lb, la)
-		}
-	}
-	for s := 0; s < seq.Stages; s++ {
-		pa := a.replicas[0][s].Params()
-		pb := b.replicas[0][s].Params()
-		for i := range pa {
-			if !pa[i].Equal(pb[i], 0) {
-				t.Fatalf("stage %d param %d differs between parallel and sequential", s, i)
-			}
-		}
-	}
-}

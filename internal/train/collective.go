@@ -1,6 +1,8 @@
 package train
 
 import (
+	"sync/atomic"
+
 	"repro/internal/collective"
 	"repro/internal/compress"
 	"repro/internal/plan"
@@ -11,11 +13,11 @@ import (
 // runtime (internal/collective): a DP×PP topology over the replica grid,
 // one long-lived group per communication pattern, and the per-op buffer
 // and compressor lists cached up front so the steady-state sync path
-// allocates nothing.
+// allocates nothing. It exists exactly on the pipelined engine.
 //
 // The runtime's deterministic ring collectives are bit-identical to the
-// serial reference reductions in comm.go, which stays as the
-// EngineReference fallback and as the oracle for the equivalence tests.
+// serial reference reductions in comm.go, which stay as EngineReference's
+// sync and as the oracle for the equivalence tests.
 type collectiveState struct {
 	topo collective.Topology
 	rt   *collective.Runtime
@@ -24,11 +26,25 @@ type collectiveState struct {
 	// buckets[s][b] the channel list of its bucket b — the plan's DP-sync
 	// bucket schedule bound to the replicas' gradient buffers, built once
 	// so the per-iteration issue path never allocates. A channel carries
-	// per-rank error-feedback compressors where the §7 selection
-	// compresses stage s and the gradient's shape is compressible, and
-	// reduces exactly otherwise.
+	// the trainer's per-rank error-feedback compressors where the §7
+	// selection compresses stage s and the gradient's shape is
+	// compressible, and reduces exactly otherwise.
 	dp      []*collective.Group
 	buckets [][][]collective.Channel
+
+	// arrivals[s] counts the DP ranks executing in this process whose
+	// stage-s gradients are not yet final this iteration; under
+	// overlapped sync the rank that decrements it to zero issues the
+	// stage's buckets. armArrivals re-arms it from localGroups[s]: D in a
+	// single-process run, one per local stage under Dist, where the
+	// stage's buckets issue the moment its sole local rank finishes (the
+	// remote members' zero-local-rank group ops complete immediately, so
+	// issue order cannot deadlock). handles[s][b] is stage s's in-flight
+	// bucket b, written by its issuer and drained by waitDPSync. All
+	// three exist exactly when D > 1.
+	arrivals    []atomic.Int32
+	localGroups []int32
+	handles     [][]*collective.Pending
 
 	// embFused is the §6 fused group — (first, last) of every replica in
 	// the serial reduction order; with a single stage it degenerates to
@@ -100,23 +116,38 @@ func newCollectiveState(t *Trainer) *collectiveState {
 				for dd := range ch.Bufs {
 					ch.Bufs[dd] = t.grads[dd][s][gi]
 				}
-				if t.plan.DPCompressed(s) && compressibleShape(ch.Bufs[0]) {
+				if t.dpEFs[s][0][gi] != nil {
 					ch.EFs = make([]*compress.ErrorFeedback, cfg.DPGroups)
 					for dd := range ch.EFs {
-						ch.EFs[dd] = t.dpEF(s, dd, gi) // same seeds as the serial path
+						ch.EFs[dd] = t.dpEFs[s][dd][gi]
 					}
 				}
 			}
 			cs.buckets[s] = append(cs.buckets[s], chans)
 		}
 	}
+	if cfg.DPGroups > 1 {
+		cs.arrivals = make([]atomic.Int32, cfg.Stages)
+		cs.localGroups = make([]int32, cfg.Stages)
+		cs.handles = make([][]*collective.Pending, cfg.Stages)
+		for s := 0; s < cfg.Stages; s++ {
+			cs.handles[s] = make([]*collective.Pending, len(cs.buckets[s]))
+			for dd := 0; dd < cfg.DPGroups; dd++ {
+				if cs.rt.LocalRank(topo.Rank(dd, s)) {
+					cs.localGroups[s]++
+				}
+			}
+		}
+	}
 
 	// Embedding groups (§6). Only the path the (immutable) plan selects
-	// is built: the fused 2D-way group — whose ring order matches the
-	// serial fused reduction Σ_d (first_d + last_d) — or the baseline's
-	// per-side and per-replica groups.
+	// is built: none on a single rank, the fused 2D-way group — whose
+	// ring order matches the serial fused reduction Σ_d (first_d +
+	// last_d) — or the baseline's per-side and per-replica groups.
 	last := cfg.Stages - 1
-	if emb := t.plan.Embedding(); emb == plan.EmbDPOnly || emb == plan.EmbFused {
+	switch t.plan.Embedding() {
+	case plan.EmbNone:
+	case plan.EmbDPOnly, plan.EmbFused:
 		cs.embFused = cs.rt.NewGroup(collective.ClassEmb, topo.EmbGroup())
 		for dd := 0; dd < cfg.DPGroups; dd++ {
 			cs.embFusedBufs = append(cs.embFusedBufs, t.replicas[dd][0].EmbeddingGrad())
@@ -124,7 +155,7 @@ func newCollectiveState(t *Trainer) *collectiveState {
 				cs.embFusedBufs = append(cs.embFusedBufs, t.replicas[dd][last].EmbeddingGrad())
 			}
 		}
-	} else {
+	default:
 		for side, stage := range [2]int{0, last} {
 			cs.embSide[side] = cs.rt.NewGroup(collective.ClassEmb, topo.DPGroup(stage))
 			bufs := make([]*tensor.Matrix, cfg.DPGroups)
@@ -144,22 +175,11 @@ func newCollectiveState(t *Trainer) *collectiveState {
 	return cs
 }
 
-// issueBucket issues stage s's bucket bi as one asynchronous bucket
-// all-reduce on the runtime: one ring over its dense gradients, one
-// all-gather of its compressed ones' payloads. Bit-identical to the
-// serial syncStageSerial whenever the returned handle is waited.
-func (cs *collectiveState) issueBucket(t *Trainer, s, bi int) *collective.Pending {
-	return cs.dp[s].AllReduceBucketAsync(cs.buckets[s][bi], 1/float64(t.cfg.DPGroups))
-}
-
-// syncStageBlocking runs stage s's bucket schedule as a sequence of
-// barriers: each bucket is issued and waited before the next one starts
-// — the un-overlapped baseline — recording executed wire volume per
-// bucket exactly like the overlapped path.
-func (cs *collectiveState) syncStageBlocking(t *Trainer, s int) {
-	t.exec.dp[s] = t.plan.DPCompressed(s)
-	for bi := range cs.buckets[s] {
-		t.exec.dpBuckets[s][bi] = cs.issueBucket(t, s, bi).WaitBytes()
+// armArrivals re-arms the per-stage arrival counters for a new
+// iteration (a no-op when D == 1).
+func (cs *collectiveState) armArrivals() {
+	for s := range cs.arrivals {
+		cs.arrivals[s].Store(cs.localGroups[s])
 	}
 }
 
@@ -173,6 +193,9 @@ func (cs *collectiveState) syncEmbedding(t *Trainer) {
 	strategy := t.plan.Embedding()
 	t.exec.emb, t.exec.embRan = strategy, true
 	switch strategy {
+	case plan.EmbNone:
+		// Single rank: the table is shared in place; nothing to sync.
+		return
 	case plan.EmbDPOnly:
 		// The table is shared in place; only the DP average remains.
 		cs.embFused.AllReduce(cs.embFusedBufs, 1/d)

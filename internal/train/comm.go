@@ -1,10 +1,6 @@
 package train
 
 import (
-	"sync"
-	"time"
-
-	"repro/internal/compress"
 	"repro/internal/plan"
 	"repro/internal/tensor"
 )
@@ -15,72 +11,41 @@ import (
 // everything else is averaged exactly. Embedding-table gradients are
 // excluded here — they belong to the embedding-synchronization phase (§6).
 //
-// Under overlapped sync (the default on the pipelined engine) the
-// buckets were already issued during the backward pass and only the
-// in-flight handles remain to be drained here. Under blocking sync the
-// plan's bucket schedule runs now, stages fanned out over a bounded
-// worker pool (disjoint gradient tensors, private compressor state per
-// (stage, group, grad) key — bit-identical to the serial order). The
-// reference engine keeps the in-place serial reduction as the oracle.
-// Averaging buffers come from the trainer's pool, so steady-state sync
-// performs no matrix allocations.
+// On the pipelined engine the plan's buckets run on the collective
+// runtime and waitDPSync drains their handles (issuing them first under
+// blocking sync). The reference engine keeps the in-place serial
+// reduction as the oracle. Averaging buffers come from the trainer's
+// pool, so steady-state sync performs no matrix allocations.
 func (t *Trainer) syncDataParallel() {
-	cfg := t.cfg
-	d := cfg.DPGroups
-	if d <= 1 {
+	if t.cfg.DPGroups <= 1 {
 		return
 	}
 	t.exec.dpRan = true
-	if t.ov != nil {
+	if t.coll != nil {
 		t.waitDPSync()
 		return
 	}
-	if t.coll == nil {
-		for s := 0; s < cfg.Stages; s++ {
-			t.syncStageSerial(s, t.plan.DPCompressed(s))
-		}
-		return
+	for s := 0; s < t.cfg.Stages; s++ {
+		t.syncStageSerial(s)
 	}
-	start := time.Now()
-	workers := t.syncWorkers
-	if workers <= 1 {
-		for s := 0; s < cfg.Stages; s++ {
-			t.coll.syncStageBlocking(t, s)
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for s := 0; s < cfg.Stages; s++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(s int) {
-				defer wg.Done()
-				t.coll.syncStageBlocking(t, s)
-				<-sem
-			}(s)
-		}
-		wg.Wait()
-	}
-	t.recordDPDrain(time.Since(start).Nanoseconds())
 }
 
 // syncStageSerial averages (optionally compressing) every non-embedding
 // gradient of stage s across the DP groups, in place, with the fully
-// serial reduction — the EngineReference fallback and the bit-identity
-// oracle for both runtime sync modes.
-func (t *Trainer) syncStageSerial(s int, compressed bool) {
-	t.exec.dp[s] = compressed
+// serial reduction — EngineReference's sync and the bit-identity oracle
+// for both runtime sync modes.
+func (t *Trainer) syncStageSerial(s int) {
+	t.exec.dp[s] = t.plan.DPCompressed(s)
 	d := t.cfg.DPGroups
-	for gi := range t.grads[0][s] {
-		if t.embSkip[t.grads[0][s][gi]] || t.embSkip[t.grads[d-1][s][gi]] {
+	for gi, g0 := range t.grads[0][s] {
+		if t.embSkip[g0] {
 			continue
 		}
-		g0 := t.grads[0][s][gi]
 		avg := t.pool.Get(g0.Rows, g0.Cols)
 		for dd := 0; dd < d; dd++ {
 			g := t.grads[dd][s][gi]
-			if compressed && compressibleShape(g) {
-				_, recon := t.dpEF(s, dd, gi).CompressWithFeedback(g)
+			if ef := t.dpEFs[s][dd][gi]; ef != nil {
+				_, recon := ef.CompressWithFeedback(g)
 				avg.Add(recon)
 			} else {
 				avg.Add(g)
@@ -98,29 +63,6 @@ func (t *Trainer) syncStageSerial(s int, compressed bool) {
 // meaningful: vectors (biases, norm parameters) are left dense, as real
 // PowerSGD deployments do.
 func compressibleShape(g *tensor.Matrix) bool { return g.Rows > 1 && g.Cols > 1 }
-
-// dpEF returns (lazily creating) the error-feedback compressor for
-// gradient matrix gi of stage s in group dd, built from the plan's
-// registry spec for that channel. Creation is guarded by a mutex because
-// stages sync concurrently; each compressor instance is only ever used
-// by its own (s, dd, gi) task, so use needs no lock.
-func (t *Trainer) dpEF(s, dd, gi int) *compress.ErrorFeedback {
-	key := [3]int{s, dd, gi}
-	t.dpcMu.Lock()
-	ef := t.dpc[key]
-	if ef == nil {
-		// The spec family was validated by plan.Compile, so Build only
-		// fails on a programming error.
-		ef = compress.NewErrorFeedback(compress.MustBuild(t.plan.DPSpec(s, dd, gi)))
-		ef.SetPool(t.pool)
-		// DP codec spans run inside rank (dd, s)'s collective worker
-		// during the compressed ring, so they land on its worker track.
-		ef.SetRecorder(t.rec, t.traceWorkerBase()+t.traceTrack(dd, s))
-		t.dpc[key] = ef
-	}
-	t.dpcMu.Unlock()
-	return ef
-}
 
 // syncEmbedding synchronizes the tied embedding table's gradients: the
 // input-side gradient (first stage) and the output-side gradient (last

@@ -82,20 +82,26 @@ func TestDistTrainerMatchesInProcessOracle(t *testing.T) {
 	cases := []struct {
 		name         string
 		opt          core.Config
+		stages       int
 		microBatches int
 		bucketBytes  int64 // 0: the default budget, one bucket per stage here
 	}{
-		{"baseline-2x4", core.Baseline(), 4, 0},
-		{"cbfesc-2x4", cbfesc, 4, 0},
-		{"cbfesc-2x4-m2", cbfesc, 2, 0},
-		{"cbfesc-2x4-small-buckets", cbfesc, 4, smallBucketBudgets[1]},
-		{"cb-topk-2x4", cbTopK, 4, 0},
+		{"baseline-2x4", core.Baseline(), 4, 4, 0},
+		{"cbfesc-2x4", cbfesc, 4, 4, 0},
+		{"cbfesc-2x4-m2", cbfesc, 4, 2, 0},
+		{"cbfesc-2x4-small-buckets", cbfesc, 4, 4, smallBucketBudgets[1]},
+		{"cb-topk-2x4", cbTopK, 4, 4, 0},
+		// Single-stage grids: each process runs one rank of pure data
+		// parallelism on the 1F1B executor, DP sync included.
+		{"baseline-2x1", core.Baseline(), 1, 4, 0},
+		{"cbfesc-2x1", cbfesc, 1, 4, 0},
 	}
 	// framed[name] is the case's socket grid's summed FrameBytes.
 	framed := map[string]int64{}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig(tc.opt)
+			cfg.Stages = tc.stages
 			cfg.MicroBatches = tc.microBatches
 			cfg.BucketBytes = tc.bucketBytes
 			world := cfg.DPGroups * cfg.Stages

@@ -10,9 +10,8 @@ const (
 	// EnginePipelined (the zero value) runs micro-batches on the 1F1B
 	// executor — one goroutine per (dp group, stage) rank over the
 	// collective runtime's point-to-point transport — and the sync
-	// phases on the ring collectives. On a single-stage grid the
-	// micro-batch loop degenerates to serial (there is no pipeline),
-	// but sync stays on the runtime.
+	// phases on the ring collectives, on every grid: a single-stage rank
+	// simply has no pipeline neighbours.
 	EnginePipelined Engine = iota
 	// EngineReference runs everything serially with in-place
 	// reductions and no collective runtime at all — the bit-identity
@@ -55,9 +54,9 @@ const (
 	// optimizer step. The reduction schedule per gradient is unchanged,
 	// so results are bit-identical to blocking mode.
 	DPSyncOverlapped DPSyncMode = iota
-	// DPSyncBlocking runs the same bucket schedule as one barrier after
-	// the whole backward pass, waiting each bucket's collectives before
-	// issuing the next — the un-overlapped baseline.
+	// DPSyncBlocking issues the same bucket handles from the iteration
+	// goroutine once the whole backward pass has joined, then waits on
+	// them — the un-overlapped baseline.
 	DPSyncBlocking
 )
 

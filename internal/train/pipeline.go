@@ -16,6 +16,8 @@ import (
 // activations and backward activation-gradients to its pipeline
 // neighbours over the collective runtime's point-to-point transport —
 // the executable counterpart of the serial in-loop path in runSerial.
+// It runs every grid of the pipelined engine; on a single-stage grid
+// each rank is stage 0 and the last stage at once, with no neighbours.
 //
 // Bit-identity with the serial oracle holds by construction:
 //
@@ -39,6 +41,7 @@ import (
 // only by each group's last-stage rank).
 func (t *Trainer) runPipelined(batches [][]microBatch, losses []float64) {
 	cfg := t.cfg
+	t.coll.armArrivals()
 	var wg sync.WaitGroup
 	for d := 0; d < cfg.DPGroups; d++ {
 		for s := 0; s < cfg.Stages; s++ {

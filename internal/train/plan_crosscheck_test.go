@@ -4,88 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/collective"
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/plan"
-	"repro/internal/sim"
 )
-
-// TestExecutedPlacementEqualsPlanAndPrediction pins the redesign's
-// acceptance criterion: neither the trainer nor the simulator re-derives
-// compression placement — both consume the compiled plan, and what the
-// engine *actually executed* (recorded at the send/sync call sites,
-// independently of the plan) equals the plan's edge and stage sets
-// exactly, on both engines (the pipelined executor and the reference
-// engine's serial loop), with the simulator's plan-derived byte
-// prediction matching the transport's measured pp-class traffic.
-func TestExecutedPlacementEqualsPlanAndPrediction(t *testing.T) {
-	c := testCorpus(t)
-	for name, opt := range executorOpts() {
-		for _, g := range executorGrids {
-			for _, engine := range []Engine{EnginePipelined, EngineReference} {
-				cfg := gridConfig(opt, g.dp, g.pp, g.micros)
-				cfg.Engine = engine
-				tr, err := New(cfg, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tr.TrainIteration()
-
-				// Executed backward edge set == plan edge set.
-				pl := tr.Plan()
-				execBwd := tr.ExecutedBackwardActions()
-				for s := 1; s < cfg.Stages; s++ {
-					for mi := 0; mi < cfg.MicroBatches; mi++ {
-						if execBwd[s][mi] != pl.CompressBackward(s, mi) {
-							t.Fatalf("%s %v dp%d×pp%d m=%d: edge (s=%d,mi=%d) executed=%v plan=%v",
-								name, engine, g.dp, g.pp, g.micros, s, mi,
-								execBwd[s][mi], pl.CompressBackward(s, mi))
-						}
-					}
-				}
-
-				// Executed DP-sync stage set == plan stage set.
-				execDP, ran := tr.ExecutedCompressedStages()
-				if want := cfg.DPGroups > 1; ran != want {
-					t.Fatalf("%s %v: dp sync ran=%v, want %v", name, engine, ran, want)
-				}
-				if ran {
-					for s, got := range execDP {
-						if got != pl.DPCompressed(s) {
-							t.Fatalf("%s %v: stage %d executed dp-compress=%v plan=%v",
-								name, engine, s, got, pl.DPCompressed(s))
-						}
-					}
-				}
-
-				// Executed embedding strategy == plan strategy.
-				if emb, ran := tr.ExecutedEmbedding(); !ran || emb != pl.Embedding() {
-					t.Fatalf("%s %v: executed embedding %v (ran=%v), plan says %v",
-						name, engine, emb, ran, pl.Embedding())
-				}
-
-				// The simulator's prediction, derived from the same plan,
-				// equals the transport's measured pp traffic to the byte.
-				if st, ok := tr.CollectiveStats(); ok && cfg.Stages > 1 {
-					dense := int64(cfg.MicroBatch*cfg.Model.Hidden) * compress.ElemBytes
-					var cmp int64
-					if opt.CompressBackprop {
-						cmp = probeCBWireBytes(t, tr)
-					}
-					pred := sim.PredictInterStageFromPlan(pl, dense, cmp)
-					exec := st.For(collective.ClassPP)
-					scale := int64(cfg.DPGroups)
-					if exec.Bytes != pred.Bytes*scale || exec.Messages != pred.Messages*scale {
-						t.Fatalf("%s %v dp%d×pp%d: executed pp (%d B, %d msgs) != plan-derived prediction (%d B, %d msgs)",
-							name, engine, g.dp, g.pp, exec.Bytes, exec.Messages,
-							pred.Bytes*scale, pred.Messages*scale)
-					}
-				}
-				tr.Close()
-			}
-		}
-	}
-}
 
 // TestEngineResolution pins the two enums: the zero values are the
 // production engine and DP-sync mode, the flag spellings round-trip, and

@@ -103,7 +103,7 @@ func (t *Trainer) ReconcileTrace() (*TraceReport, error) {
 	case t.rec == nil:
 		return nil, fmt.Errorf("train: tracing disabled (Config.TraceCapacity == 0)")
 	case t.coll == nil:
-		return nil, fmt.Errorf("train: no collective transport to reconcile against (reference engine or 1×1 grid)")
+		return nil, fmt.Errorf("train: no collective transport to reconcile against (reference engine)")
 	case t.iter == 0:
 		return nil, fmt.Errorf("train: no completed iterations to reconcile")
 	}

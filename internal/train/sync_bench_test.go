@@ -7,7 +7,7 @@ import (
 	"repro/internal/data"
 )
 
-func benchTrainer(b *testing.B, workers int) *Trainer {
+func benchTrainer(b *testing.B) *Trainer {
 	b.Helper()
 	corpus, err := data.Generate(data.Config{
 		Vocab: 16, Length: 8000, ValFrac: 0.1, Peakiness: 0.8, Branch: 3, Seed: 11,
@@ -27,7 +27,6 @@ func benchTrainer(b *testing.B, workers int) *Trainer {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr.syncWorkers = workers
 	// Two full iterations populate real gradients and warm every
 	// workspace — including the error-feedback input buffers that only
 	// exist once a residual is stored — so the benchmark measures steady
@@ -42,18 +41,7 @@ func benchTrainer(b *testing.B, workers int) *Trainer {
 // engine makes allocation-free (compare allocs/op against the
 // pre-refactor ~60+ matrix allocations per call).
 func BenchmarkSyncDataParallel(b *testing.B) {
-	tr := benchTrainer(b, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.syncDataParallel()
-	}
-}
-
-// BenchmarkSyncDataParallelWorkers measures the same path with the
-// bounded worker pool fanning independent stages out.
-func BenchmarkSyncDataParallelWorkers(b *testing.B) {
-	tr := benchTrainer(b, 4)
+	tr := benchTrainer(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -63,7 +51,7 @@ func BenchmarkSyncDataParallelWorkers(b *testing.B) {
 
 // BenchmarkSyncEmbedding measures the §6 embedding-synchronization phase.
 func BenchmarkSyncEmbedding(b *testing.B) {
-	tr := benchTrainer(b, 1)
+	tr := benchTrainer(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,48 +6,6 @@ import (
 	"repro/internal/core"
 )
 
-// TestSyncWorkersBitIdentical pins the worker-pool fan-out contract:
-// stage-parallel blocking gradient synchronization produces
-// bit-identical weights to the serial order, because stages share no
-// tensors and each (stage, group, grad) compressor is private. The
-// bound is forced to both extremes, whatever GOMAXPROCS is.
-func TestSyncWorkersBitIdentical(t *testing.T) {
-	c := testCorpus(t)
-	opt := core.CBFESC()
-	opt.CBRank = 2
-	opt.DPRank = 2
-	serial := testConfig(opt)
-	serial.DPSync = DPSyncBlocking
-
-	a, err := New(serial, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	a.syncWorkers = 1
-	b, err := New(serial, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	b.syncWorkers = serial.Stages
-	for i := 0; i < 5; i++ {
-		la, lb := a.TrainIteration(), b.TrainIteration()
-		if la != lb {
-			t.Fatalf("iteration %d: losses diverged (%v vs %v)", i, la, lb)
-		}
-	}
-	for s := 0; s < serial.Stages; s++ {
-		pa := a.replicas[0][s].Params()
-		pb := b.replicas[0][s].Params()
-		for i := range pa {
-			if !pa[i].Equal(pb[i], 0) {
-				t.Fatalf("stage %d param %d differs between serial and parallel sync", s, i)
-			}
-		}
-	}
-}
-
 // TestSyncSteadyStateReusesPool asserts the zero-allocation design goal at
 // the trainer level: after the first iterations warm the workspaces, the
 // sync path's pool traffic is served from the pool.

@@ -16,14 +16,14 @@
 //     first and last stages are combined, either in two phases (baseline)
 //     or fused; the two are mathematically identical, which tests assert.
 //
-// Micro-batches execute on the 1F1B pipeline executor by default: one
-// goroutine per (dp group, stage) rank drives the schedule's ops in
-// order, shipping forward activations and backward activation-gradients
-// over the collective runtime's point-to-point transport (pipeline.go).
-// The serial in-loop path runs single-stage grids and the
-// EngineReference oracle; both paths are bit-identical (per-stage
-// gradient accumulation, per-boundary compressor state, and per-group
-// losses all follow micro-batch order on both), so runs are
+// Every grid the pipelined engine runs — single-stage and 1×1 included —
+// executes on the 1F1B pipeline executor: one goroutine per (dp group,
+// stage) rank drives the schedule's ops in order, shipping forward
+// activations and backward activation-gradients over the collective
+// runtime's point-to-point transport (pipeline.go). The serial in-loop
+// path is the EngineReference oracle only; the two are bit-identical
+// (per-stage gradient accumulation, per-boundary compressor state, and
+// per-group losses all follow micro-batch order on both), so runs are
 // bit-reproducible given a seed on either.
 //
 // Data-parallel synchronization overlaps with the backward pass by
@@ -31,15 +31,15 @@
 // byte-budgeted buckets, and the moment a stage's gradients are final on
 // every group its buckets are issued as asynchronous ring all-reduces
 // (overlap.go); the iteration waits on every handle before the optimizer
-// step. Config.DPSync selects the blocking barrier instead; both modes
-// and the fully serial EngineReference oracle are bit-identical.
+// step. Config.DPSync selects blocking sync instead — the same handles,
+// issued at the join; both modes and the fully serial EngineReference
+// oracle are bit-identical.
 package train
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"repro/internal/collective"
 	"repro/internal/compress"
@@ -70,10 +70,6 @@ type Config struct {
 
 	// CollectStats enables Fig. 11 error/activation tracking (boundary 0).
 	CollectStats bool
-	// ParallelGroups executes data-parallel groups on separate goroutines.
-	// Batches are pre-sampled in a fixed order first, so results are
-	// bit-identical to the sequential mode (which tests assert).
-	ParallelGroups bool
 	// Engine selects the execution stack: the 1F1B executor over the
 	// collective runtime (default) or the fully serial reference oracle.
 	// Both are bit-identical (asserted by tests); only the pipelined one
@@ -193,23 +189,19 @@ type Trainer struct {
 	// embSkip marks every embedding-table gradient; DP sync skips them
 	// (they belong to the §6 embedding-synchronization phase).
 	embSkip map[*tensor.Matrix]bool
-	// coll is the rank-based collective runtime backing the sync phases
-	// (nil under EngineReference or on a single-rank grid).
+	// coll is the rank-based collective runtime the pipelined engine runs
+	// on (nil exactly under EngineReference).
 	coll *collectiveState
-	// ov coordinates overlapped bucketed DP synchronization: arrival
-	// counting per stage, the in-flight handle table, and the exposed
-	// wait-time clock (nil when overlap is off — blocking mode,
-	// EngineReference, or a single DP group).
-	ov *dpOverlap
 
 	// cb[d][s] compresses the backward send from stage s to s−1 of group
 	// d (s ≥ 1). The ErrorFeedback residual IS lazy error propagation.
 	cb [][]*compress.ErrorFeedback
-	// dpc[s][g] compresses gradient matrix g of stage s (shared input
-	// across groups is modeled per group: dpc[s] indexed by d×grad).
-	// dpcMu guards lazy creation under the stage-parallel sync fan-out.
-	dpc   map[[3]int]*compress.ErrorFeedback
-	dpcMu sync.Mutex
+	// dpEFs[s][d][g] compresses gradient channel g of stage s in group d
+	// during DP sync — built once in New from the plan's DPSpec, nil
+	// where the channel stays dense (unselected stage, vector shape, or
+	// an embedding channel). The bucket channels, the serial reference
+	// sync and the checkpoint all share this one table.
+	dpEFs [][][]*compress.ErrorFeedback
 
 	// exec records what the engine actually did, independently of the
 	// plan, so crosscheck tests can compare executed placement against
@@ -222,11 +214,6 @@ type Trainer struct {
 	// this process executed — under Dist a partial sum the coordinator
 	// aggregates across processes before normalizing.
 	lastLossSum float64
-
-	// syncWorkers bounds the worker pool that fans blocking DP sync out
-	// over independent stages: min(GOMAXPROCS, Stages). Results are
-	// bit-identical at any bound.
-	syncWorkers int
 
 	// rec is the executed-run span recorder (nil unless
 	// Config.TraceCapacity > 0). Track layout, with W = DPGroups×Stages:
@@ -290,16 +277,14 @@ func New(cfg Config, corpus *data.Corpus) (*Trainer, error) {
 		return nil, err
 	}
 	t := &Trainer{
-		cfg:         cfg,
-		corpus:      corpus,
-		sched:       sched,
-		opt:         model.NewSGD(cfg.LR, cfg.Momentum, cfg.Clip),
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		pool:        tensor.NewPool(),
-		dpc:         make(map[[3]int]*compress.ErrorFeedback),
-		embSkip:     make(map[*tensor.Matrix]bool),
-		syncWorkers: min(runtime.GOMAXPROCS(0), cfg.Stages),
-		metrics:     obs.NewRegistry(),
+		cfg:     cfg,
+		corpus:  corpus,
+		sched:   sched,
+		opt:     model.NewSGD(cfg.LR, cfg.Momentum, cfg.Clip),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		pool:    tensor.NewPool(),
+		embSkip: make(map[*tensor.Matrix]bool),
+		metrics: obs.NewRegistry(),
 	}
 	t.dpWait = t.metrics.Counter("train.dp_sync_exposed_ns")
 	t.iters = t.metrics.Counter("train.iterations")
@@ -395,10 +380,32 @@ func New(cfg Config, corpus *data.Corpus) (*Trainer, error) {
 			t.cb = append(t.cb, row)
 		}
 	}
+	t.dpEFs = make([][][]*compress.ErrorFeedback, cfg.Stages)
+	for s := range t.dpEFs {
+		t.dpEFs[s] = make([][]*compress.ErrorFeedback, cfg.DPGroups)
+		for d := range t.dpEFs[s] {
+			row := make([]*compress.ErrorFeedback, len(t.grads[d][s]))
+			for gi, g := range t.grads[d][s] {
+				if !pl.DPCompressed(s) || !compressibleShape(g) || t.embSkip[g] {
+					continue
+				}
+				// The spec family was validated by plan.Compile, so Build
+				// only fails on a programming error.
+				ef := compress.NewErrorFeedback(compress.MustBuild(pl.DPSpec(s, d, gi)))
+				ef.SetPool(t.pool)
+				// DP codec spans run inside rank (d, s)'s collective worker
+				// during the compressed ring, so they land on its worker
+				// track.
+				ef.SetRecorder(t.rec, t.traceWorkerBase()+t.traceTrack(d, s))
+				row[gi] = ef
+			}
+			t.dpEFs[s][d] = row
+		}
+	}
 	if cfg.CollectStats {
 		t.stats = NewStats()
 	}
-	if cfg.Engine != EngineReference && (cfg.DPGroups > 1 || cfg.Stages > 1 || cfg.Dist != nil) {
+	if cfg.Engine == EnginePipelined {
 		t.coll = newCollectiveState(t)
 		// A trainer that is dropped without Close (the experiment harness
 		// creates dozens) must not pin its rank workers and pool forever:
@@ -414,9 +421,6 @@ func New(cfg Config, corpus *data.Corpus) (*Trainer, error) {
 				g.SetTag(s)
 			}
 		}
-		if cfg.DPGroups > 1 && cfg.DPSync == DPSyncOverlapped {
-			t.ov = newDPOverlap(t)
-		}
 	}
 	return t, nil
 }
@@ -430,8 +434,8 @@ func (t *Trainer) Close() {
 }
 
 // CollectiveStats snapshots the collective runtime's per-class executed
-// traffic (bytes, messages, steps). ok is false when the trainer runs on
-// the serial sync path (EngineReference, or a single-rank grid).
+// traffic (bytes, messages, steps). ok is false on EngineReference,
+// which has no transport.
 func (t *Trainer) CollectiveStats() (s collective.Stats, ok bool) {
 	if t.coll == nil {
 		return collective.Stats{}, false
@@ -553,11 +557,8 @@ func (t *Trainer) TrainIteration() float64 {
 		}
 	}
 	losses := make([]float64, cfg.DPGroups)
-	if t.ov != nil {
-		t.ov.reset()
-	}
 	pipeStart := t.rec.Now()
-	if t.pipelineActive() {
+	if t.coll != nil {
 		t.runPipelined(batches, losses)
 	} else {
 		t.runSerial(batches, losses)
@@ -593,13 +594,6 @@ func (t *Trainer) TrainIteration() float64 {
 	return lossSum / float64(cfg.DPGroups*cfg.MicroBatches)
 }
 
-// pipelineActive reports whether micro-batches execute on the 1F1B
-// pipeline executor (multi-stage grid, collective runtime available —
-// i.e. not the reference engine).
-func (t *Trainer) pipelineActive() bool {
-	return t.coll != nil && t.cfg.Stages > 1
-}
-
 // localRank reports whether rank (d, s) executes in this process. Always
 // true on in-process transports and the reference engine; under Dist
 // exactly one (d, s) is local.
@@ -618,20 +612,12 @@ func (t *Trainer) localRank(d, s int) bool {
 func (t *Trainer) LastIterationLossSum() float64 { return t.lastLossSum }
 
 // runSerial executes every group's micro-batches with the serial
-// in-loop path: single-stage grids, and the EngineReference oracle the
-// pipeline executor is pinned against bit for bit.
+// in-loop path — the EngineReference oracle the pipeline executor is
+// pinned against bit for bit.
 func (t *Trainer) runSerial(batches [][]microBatch, losses []float64) {
 	cfg := t.cfg
-	// Under Dist (single-stage grids only — multi-stage ones run the
-	// pipelined executor) each process runs just its own DP group; remote
-	// groups' micro-batches execute in their own processes.
-	local := make([]int, 0, cfg.DPGroups)
+	inv := 1.0 / float64(cfg.MicroBatches)
 	for d := 0; d < cfg.DPGroups; d++ {
-		if t.localRank(d, 0) {
-			local = append(local, d)
-		}
-	}
-	runGroup := func(d int) {
 		for _, gs := range t.grads[d] {
 			for _, g := range gs {
 				g.Zero()
@@ -641,31 +627,11 @@ func (t *Trainer) runSerial(batches [][]microBatch, losses []float64) {
 			losses[d] += t.runMicroBatch(d, mi, batches[d][mi])
 		}
 		// Average gradient over micro-batches (each micro's loss gradient
-		// is already 1/MicroBatch). Stages finalize in reverse-backward
-		// order — the order the last backward wave touched them — so
-		// under overlapped DP sync each stage's buckets go on the wire
-		// while the remaining stages are still being finalized.
-		inv := 1.0 / float64(cfg.MicroBatches)
-		for s := cfg.Stages - 1; s >= 0; s-- {
-			for _, g := range t.grads[d][s] {
+		// is already 1/MicroBatch).
+		for _, gs := range t.grads[d] {
+			for _, g := range gs {
 				g.Scale(inv)
 			}
-			t.dpStageReady(s)
-		}
-	}
-	if cfg.ParallelGroups && len(local) > 1 {
-		var wg sync.WaitGroup
-		for _, d := range local {
-			wg.Add(1)
-			go func(d int) {
-				defer wg.Done()
-				runGroup(d)
-			}(d)
-		}
-		wg.Wait()
-	} else {
-		for _, d := range local {
-			runGroup(d)
 		}
 	}
 }
@@ -678,8 +644,8 @@ type microBatch struct {
 
 // runMicroBatch executes forward + backward for one micro-batch on one DP
 // group, applying compressed backpropagation to the inter-stage backward
-// traffic. With more than one stage this runs only on the reference
-// engine, which has no transport: nothing is accounted.
+// traffic. It runs only on the reference engine, which has no transport:
+// nothing is accounted.
 func (t *Trainer) runMicroBatch(d, mi int, mb microBatch) float64 {
 	cfg := t.cfg
 	stages := t.replicas[d]
