@@ -55,7 +55,7 @@ func main() {
 	width := flag.Int("width", 120, "timeline width in columns")
 	trace := flag.String("trace", "", "write the predicted iteration as Chrome trace-event JSON (pid 1; merge with an executed optcc-train -trace file to compare in Perfetto)")
 	price := flag.Bool("price", false, "print the candidate's sim.Estimate as JSON and exit — the same wire format optcc-serve's /v1/price returns, for bit-for-bit diffing (CI smoke)")
-	bucketBytes := flag.Int64("bucket-bytes", 0, "DP-sync bucket budget in bytes for -price (0 = plan default)")
+	bucketBytes := flag.Int64("bucket-bytes", 0, "DP-sync bucket budget in bytes for -price (0 = plan default; negative is an error)")
 	tune := flag.Bool("autotune", false, "search the placement space with the simulator as the oracle and print the ranked candidate table (no simulation run)")
 	tuneBudget := flag.Float64("autotune-budget", 0.10, "quality-loss budget (estimated ΔPPL) candidates must fit")
 	tuneSeed := flag.Int64("autotune-seed", 1, "search seed (same seed, same ranked table)")

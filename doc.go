@@ -88,6 +88,13 @@
 // single-process run, pinned by the cross-transport oracle
 // (internal/train/dist_test.go) and CI's multiproc job.
 //
+// The simulator has one path. sim.BuildGraph lays out an iteration's
+// tasks with their kind, stage and micro-batch; one price function turns
+// the plan's durations into task costs; simnet.Sequence is the one loop
+// that resolves start and finish times. Simulate, Timeline and the
+// Chrome trace solve the scenario's own frozen graph, sim.Evaluator
+// re-prices one frozen skeleton per grid, and the two agree bit for bit.
+//
 // The plan space is searchable: internal/autotune enumerates candidate
 // plans (per-stage compressed backpropagation on/off with family and
 // rank, DP-sync family/rank/prefix depth, §6 embedding strategy, bucket

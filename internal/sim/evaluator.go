@@ -1,12 +1,7 @@
 package sim
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-
 	"repro/internal/core"
-	"repro/internal/pipeline"
 	"repro/internal/plan"
 	"repro/internal/simnet"
 )
@@ -15,14 +10,11 @@ import (
 // graph. The graph's structure — which tasks exist, their dependencies,
 // the per-device/per-link resource chains — is fixed by the parallelism
 // grid (stages × micro-batches); only the task durations vary with the
-// configuration. BuildGraph+Solve re-derives that structure for every
-// call, which is fine for a handful of scenarios but not for a
-// plan-space search pricing thousands of candidates. NewEvaluator
-// builds the graph once, freezes its topological order
-// (simnet.Sequence), and records per-task metadata (kind, stage,
-// micro-batch, warmup/epilogue phase); Price then assigns durations
-// from computeDurations — the exact formulas BuildGraph uses — and
-// re-solves in a single allocation-free pass per breakdown component.
+// configuration. NewEvaluator builds that graph once and freezes its
+// topological order (simnet.Sequence). Price then assigns the
+// candidate's durations through the same price function BuildGraph
+// uses and re-solves the sequence once for the iteration time and once
+// per exposed component, with no allocation in the solves.
 //
 // Structural superset: the skeleton is built under a dense,
 // two-phase-embedding configuration. A fused-§6 candidate prices the
@@ -30,40 +22,20 @@ import (
 // breakdown re-solves identical to the graph BuildGraph would have
 // produced for it (the extra zero task finishes exactly when its
 // predecessor does). TestEvaluatorMatchesSimulate pins this equivalence
-// against full Simulate across every compressor family.
+// bit for bit against Simulate across every compressor family.
 //
 // Concurrency contract: an Evaluator is single-goroutine. Price mutates
 // the frozen sequence in place (task durations, the solver's scratch),
 // so concurrent Price calls on one Evaluator race. Distinct Evaluators
 // built from the same base Scenario share no mutable state — each
-// NewEvaluator call builds its own graph, sequence, and metadata — so
-// running one Evaluator per goroutine is safe and bit-identical to a
-// serial run (pinned by TestEvaluatorsDoNotAliasState under -race).
+// NewEvaluator call builds its own graph and sequence — so running one
+// Evaluator per goroutine is safe and bit-identical to a serial run
+// (pinned by TestEvaluatorsDoNotAliasState under -race).
 // internal/whatif pools Evaluators behind exactly this contract.
 type Evaluator struct {
-	base  Scenario
-	seq   *simnet.Sequence
-	tasks []*simnet.Task
-	meta  []taskMeta
-}
-
-type taskKind int8
-
-const (
-	taskFwd taskKind = iota
-	taskBwd
-	taskSendFwd
-	taskSendBwd
-	taskDP
-	taskEmb
-)
-
-type taskMeta struct {
-	kind     taskKind
-	stage    int // EMB tasks: the phase index
-	micro    int
-	warmup   bool // forward send of the pipeline-fill phase (never hidden)
-	epilogue bool // backward send of the drain phase (never hidden)
+	base Scenario
+	it   *iteration
+	seq  *simnet.Sequence
 }
 
 // Estimate is one candidate's predicted cost: iteration time, the
@@ -104,67 +76,15 @@ func NewEvaluator(base Scenario) (*Evaluator, error) {
 	skel := base
 	skel.Cfg = core.Config{Seed: 1} // dense two-phase skeleton (structural superset)
 	skel.BucketBytes = 0
-	g, err := BuildGraph(skel, nil)
+	it, err := buildIteration(skel, nil)
 	if err != nil {
 		return nil, err
 	}
-	sched, err := pipeline.OneFOneB(skel.Map.PP, skel.MicroBatches())
+	seq, err := it.g.Freeze()
 	if err != nil {
 		return nil, err
 	}
-	fwdWarmup := make(map[[2]int]bool)
-	for st := 0; st < skel.Map.PP; st++ {
-		for _, op := range sched.PerStage[st] {
-			if op.Kind == pipeline.Forward {
-				fwdWarmup[[2]int{st, op.Micro}] = op.Phase == pipeline.Warmup
-			}
-		}
-	}
-	seq, err := g.Freeze()
-	if err != nil {
-		return nil, err
-	}
-	ev := &Evaluator{base: base, seq: seq, tasks: seq.Tasks()}
-	ev.meta = make([]taskMeta, len(ev.tasks))
-	for i, t := range ev.tasks {
-		m, err := parseTaskID(t.ID)
-		if err != nil {
-			return nil, err
-		}
-		switch m.kind {
-		case taskSendFwd:
-			m.warmup = fwdWarmup[[2]int{m.stage, m.micro}]
-		case taskSendBwd:
-			m.epilogue = sched.IsEpilogueBackward(m.stage, m.micro)
-		}
-		ev.meta[i] = m
-	}
-	return ev, nil
-}
-
-// parseTaskID decodes BuildGraph's task-ID scheme (F/st/mi, B/st/mi,
-// SF/st/mi, SB/st/mi, DP/st, EMB/i).
-func parseTaskID(id string) (taskMeta, error) {
-	parts := strings.Split(id, "/")
-	atoi := func(s string) int {
-		n, _ := strconv.Atoi(s)
-		return n
-	}
-	switch {
-	case len(parts) == 3 && parts[0] == "F":
-		return taskMeta{kind: taskFwd, stage: atoi(parts[1]), micro: atoi(parts[2])}, nil
-	case len(parts) == 3 && parts[0] == "B":
-		return taskMeta{kind: taskBwd, stage: atoi(parts[1]), micro: atoi(parts[2])}, nil
-	case len(parts) == 3 && parts[0] == "SF":
-		return taskMeta{kind: taskSendFwd, stage: atoi(parts[1]), micro: atoi(parts[2])}, nil
-	case len(parts) == 3 && parts[0] == "SB":
-		return taskMeta{kind: taskSendBwd, stage: atoi(parts[1]), micro: atoi(parts[2])}, nil
-	case len(parts) == 2 && parts[0] == "DP":
-		return taskMeta{kind: taskDP, stage: atoi(parts[1])}, nil
-	case len(parts) == 2 && parts[0] == "EMB":
-		return taskMeta{kind: taskEmb, stage: atoi(parts[1])}, nil
-	}
-	return taskMeta{}, fmt.Errorf("sim: unrecognized task id %q", id)
+	return &Evaluator{base: base, it: it, seq: seq}, nil
 }
 
 // Scenario returns the evaluator's base scenario (Cfg/BucketBytes are
@@ -174,12 +94,19 @@ func (ev *Evaluator) Scenario() Scenario { return ev.base }
 // Plan compiles the candidate's plan on the evaluator's grid — the same
 // plan Price prices and the trainer would execute.
 func (ev *Evaluator) Plan(cfg core.Config, bucketBytes int64) (*plan.Plan, error) {
+	return ev.candidate(cfg, bucketBytes).Plan()
+}
+
+// candidate is the base scenario with the candidate's configuration and
+// bucket budget. Any non-zero budget replaces the base's, so a negative
+// one reaches plan.Compile and is rejected there.
+func (ev *Evaluator) candidate(cfg core.Config, bucketBytes int64) Scenario {
 	s := ev.base
 	s.Cfg = cfg
-	if bucketBytes > 0 {
+	if bucketBytes != 0 {
 		s.BucketBytes = bucketBytes
 	}
-	return s.Plan()
+	return s
 }
 
 // Price evaluates one candidate configuration: compile its plan, assign
@@ -188,11 +115,7 @@ func (ev *Evaluator) Plan(cfg core.Config, bucketBytes int64) (*plan.Plan, error
 // invalid configuration (unknown family, bad rank) errors before any
 // pricing, exactly like plan.Compile.
 func (ev *Evaluator) Price(cfg core.Config, bucketBytes int64) (Estimate, error) {
-	s := ev.base
-	s.Cfg = cfg
-	if bucketBytes > 0 {
-		s.BucketBytes = bucketBytes
-	}
+	s := ev.candidate(cfg, bucketBytes)
 	if err := s.Validate(); err != nil {
 		return Estimate{}, err
 	}
@@ -201,42 +124,8 @@ func (ev *Evaluator) Price(cfg core.Config, bucketBytes int64) (Estimate, error)
 		return Estimate{}, err
 	}
 	d := computeDurations(s, pl)
-	hide := 1 - s.Comm.SteadyOverlap
-	for i, t := range ev.tasks {
-		m := ev.meta[i]
-		switch m.kind {
-		case taskFwd:
-			t.Duration = d.fwd[m.stage]
-		case taskBwd:
-			t.Duration = d.bwd[m.stage]
-		case taskSendFwd:
-			dur := d.sendFwdXfer
-			if !m.warmup {
-				dur *= hide
-			}
-			t.Duration = dur
-		case taskSendBwd:
-			xfer := d.sendBwdXfer
-			var codec float64
-			if pl.CompressBackward(m.stage, m.micro) {
-				xfer = d.sendBwdCmpXfer
-				codec = d.sendBwdCodec
-			}
-			if !m.epilogue {
-				xfer *= hide
-			}
-			t.Duration = xfer + codec
-		case taskDP:
-			t.Duration = d.dp[m.stage]
-		case taskEmb:
-			if m.stage < len(d.embPhase) {
-				t.Duration = d.embPhase[m.stage]
-			} else {
-				t.Duration = 0 // fused/dp-only candidate on the two-phase skeleton
-			}
-		}
-	}
-	est := Estimate{IterationSec: ev.seq.Makespan(nil)}
+	ev.it.price(pl, d, nil)
+	est := Estimate{IterationSec: ev.seq.Makespan()}
 	est.ExposedPPSec = est.IterationSec - ev.seq.MakespanWithout(LabelInterStage)
 	est.ExposedDPSec = est.IterationSec - ev.seq.MakespanWithout(LabelDP)
 	est.ExposedEmbSec = est.IterationSec - ev.seq.MakespanWithout(LabelEmb)

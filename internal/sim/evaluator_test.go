@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"math"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -37,34 +38,81 @@ func evaluatorConfigs() map[string]core.Config {
 	return cfgs
 }
 
-func TestEvaluatorMatchesSimulate(t *testing.T) {
-	base := PaperScenario(cluster.GPT25B, core.Baseline())
-	ev, err := NewEvaluator(base)
+// referenceSimulate is the §3 methodology written out longhand: one
+// graph for the iteration and one rebuilt graph per component with that
+// component's tasks priced at zero, each solved from scratch.
+func referenceSimulate(t *testing.T, s Scenario) Result {
+	t.Helper()
+	g, err := BuildGraph(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, cfg := range evaluatorConfigs() {
-		est, err := ev.Price(cfg, 0)
+	iter, err := g.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Result{IterationSec: iter, Exposed: map[string]float64{}, Busy: g.TotalByLabel()}
+	for _, label := range AllLabels {
+		g, err := BuildGraph(s, zeroSet{label: true})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		s := base
-		s.Cfg = cfg
-		res, err := Simulate(s)
+		mk, err := g.Solve()
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		if math.Abs(est.IterationSec-res.IterationSec) > 1e-9*res.IterationSec {
-			t.Errorf("%s: evaluator iteration %v, Simulate %v", name, est.IterationSec, res.IterationSec)
-		}
-		for label, got := range map[string]float64{
-			LabelInterStage: est.ExposedPPSec,
-			LabelDP:         est.ExposedDPSec,
-			LabelEmb:        est.ExposedEmbSec,
-		} {
-			want := res.Exposed[label]
-			if math.Abs(got-want) > 1e-9*(math.Abs(want)+1e-12) {
-				t.Errorf("%s: exposed %s %v, Simulate %v", name, label, got, want)
+		res.Exposed[label] = iter - mk
+	}
+	return res
+}
+
+// TestEvaluatorMatchesSimulate pins three routes to one iteration's
+// numbers to each other bit for bit (!=, no tolerance): Evaluator.Price
+// on the frozen two-phase skeleton, Simulate on the scenario's own
+// frozen graph, and the per-component rebuild reference. It spans both
+// paper models, three mappings, every config family and three bucket
+// budgets.
+func TestEvaluatorMatchesSimulate(t *testing.T) {
+	for _, spec := range []cluster.GPTSpec{cluster.GPT25B, cluster.GPT83B} {
+		for _, mp := range []cluster.Mapping{{TP: 8, DP: 4, PP: 4}, {TP: 8, DP: 1, PP: 4}, {TP: 8, DP: 4, PP: 1}} {
+			base := PaperScenario(spec, core.Baseline())
+			base.Map = mp
+			ev, err := NewEvaluator(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, cfg := range evaluatorConfigs() {
+				for _, bucket := range []int64{0, 4 << 20, 64 << 20} {
+					at := fmt.Sprintf("%s %s %s bkt=%d", spec.Name, mp, name, bucket)
+					est, err := ev.Price(cfg, bucket)
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					s := base
+					s.Cfg = cfg
+					s.BucketBytes = bucket
+					res, err := Simulate(s)
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					ref := referenceSimulate(t, s)
+					if res.IterationSec != ref.IterationSec || est.IterationSec != ref.IterationSec {
+						t.Errorf("%s: iteration evaluator %v, Simulate %v, reference %v",
+							at, est.IterationSec, res.IterationSec, ref.IterationSec)
+					}
+					if !reflect.DeepEqual(res.Exposed, ref.Exposed) || !reflect.DeepEqual(res.Busy, ref.Busy) {
+						t.Errorf("%s: Simulate %+v, reference %+v", at, res, ref)
+					}
+					for label, got := range map[string]float64{
+						LabelInterStage: est.ExposedPPSec,
+						LabelDP:         est.ExposedDPSec,
+						LabelEmb:        est.ExposedEmbSec,
+					} {
+						if got != ref.Exposed[label] {
+							t.Errorf("%s: exposed %s evaluator %v, reference %v", at, label, got, ref.Exposed[label])
+						}
+					}
+				}
 			}
 		}
 	}
@@ -210,5 +258,27 @@ func TestEvaluatorRejectsInvalidConfig(t *testing.T) {
 	bad.CBRank = 0
 	if _, err := ev.Price(bad, 0); err == nil {
 		t.Fatal("invalid config priced without error")
+	}
+}
+
+// TestEvaluatorRejectsNegativeBucketBudget pins that a negative budget
+// reaches plan.Compile, exactly as it does through Simulate, instead of
+// silently pricing the default budget.
+func TestEvaluatorRejectsNegativeBucketBudget(t *testing.T) {
+	base := PaperScenario(cluster.GPT25B, core.Baseline())
+	ev, err := NewEvaluator(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ev.Price(core.CBFESC(), -1); err == nil {
+		t.Error("Price accepted bucket budget -1")
+	}
+	if _, err := ev.Plan(core.CBFESC(), -1); err == nil {
+		t.Error("Plan accepted bucket budget -1")
+	}
+	s := base
+	s.BucketBytes = -1
+	if _, err := Simulate(s); err == nil {
+		t.Error("Simulate accepted bucket budget -1")
 	}
 }

@@ -33,6 +33,11 @@ type durations struct {
 	dpShardBytes     []int64 // per-stage dense DP-sync shard
 	dpWireBytes      []int64 // per-stage per-rank DP payload after §7 compression (== shard when dense)
 	embBytes         int64   // per-rank embedding-table shard
+
+	// sendHide is the share of a steady-phase send left exposed, 1 −
+	// CommParams.SteadyOverlap (Megatron's async send/recv); warmup
+	// forward sends and epilogue backward sends are fully exposed.
+	sendHide float64
 }
 
 // zeroSet marks labels whose tasks get zero duration (the §3 CPI-stack
@@ -40,7 +45,7 @@ type durations struct {
 type zeroSet map[string]bool
 
 func (z zeroSet) dur(label string, d float64) float64 {
-	if z[label] {
+	if len(z) != 0 && z[label] {
 		return 0
 	}
 	return d
@@ -75,6 +80,7 @@ func computeDurations(s Scenario, pl *plan.Plan) durations {
 	}
 
 	// Inter-stage p2p transfers.
+	d.sendHide = 1 - s.Comm.SteadyOverlap
 	p2pLink := simnet.Link{
 		Name:         "p2p",
 		BandwidthBps: s.Topo.Inter.BandwidthBps * s.Comm.P2PEff,
@@ -186,9 +192,49 @@ func computeDurations(s Scenario, pl *plan.Plan) durations {
 	return d
 }
 
+// taskKind is what a task of the iteration graph models.
+type taskKind int8
+
+const (
+	taskFwd taskKind = iota
+	taskBwd
+	taskSendFwd
+	taskSendBwd
+	taskDP
+	taskEmb
+)
+
+// taskMeta is what the graph builder records about each task as it adds
+// it; price reads it to assign the task's duration.
+type taskMeta struct {
+	kind  taskKind
+	stage int // EMB tasks: the phase index
+	micro int
+	// unhidden marks a warmup forward send (pipeline fill) or an
+	// epilogue backward send (drain): neither overlaps with compute.
+	unhidden bool
+}
+
+// iteration is one training iteration's task graph plus the metadata of
+// each task, parallel to g.Tasks().
+type iteration struct {
+	g    *simnet.Graph
+	meta []taskMeta
+}
+
 // BuildGraph assembles one training iteration as a task graph. zero lists
 // component labels whose durations are forced to zero (for breakdowns).
 func BuildGraph(s Scenario, zero zeroSet) (*simnet.Graph, error) {
+	it, err := buildIteration(s, zero)
+	if err != nil {
+		return nil, err
+	}
+	return it.g, nil
+}
+
+// buildIteration validates the scenario, compiles its plan, lays out the
+// iteration's tasks and prices them.
+func buildIteration(s Scenario, zero zeroSet) (*iteration, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -203,120 +249,135 @@ func BuildGraph(s Scenario, zero zeroSet) (*simnet.Graph, error) {
 		return nil, err
 	}
 	d := computeDurations(s, pl)
-	g := simnet.NewGraph()
-
-	dev := func(st int) string { return fmt.Sprintf("dev%d", st) }
-	fid := func(st, mi int) string { return fmt.Sprintf("F/%d/%d", st, mi) }
-	bid := func(st, mi int) string { return fmt.Sprintf("B/%d/%d", st, mi) }
-	sfid := func(st, mi int) string { return fmt.Sprintf("SF/%d/%d", st, mi) }
-	sbid := func(st, mi int) string { return fmt.Sprintf("SB/%d/%d", st, mi) }
+	it := &iteration{g: simnet.NewGraph()}
+	add := func(id, label, resource string, meta taskMeta) *simnet.Task {
+		it.meta = append(it.meta, meta)
+		return it.g.Add(id, label, 0, resource)
+	}
 
 	// Compute tasks in per-device schedule order (fixes resource order).
+	fwd, bwd := make([][]*simnet.Task, p), make([][]*simnet.Task, p)
+	warmup := make([][]bool, p)
 	for st := 0; st < p; st++ {
+		fwd[st], bwd[st], warmup[st] = make([]*simnet.Task, m), make([]*simnet.Task, m), make([]bool, m)
+		dev := fmt.Sprintf("dev%d", st)
 		for _, op := range sched.PerStage[st] {
+			mi := op.Micro
 			switch op.Kind {
 			case pipeline.Forward:
-				g.Add(fid(st, op.Micro), LabelFwd, zero.dur(LabelFwd, d.fwd[st]), dev(st))
+				fwd[st][mi] = add(fmt.Sprintf("F/%d/%d", st, mi), LabelFwd, dev,
+					taskMeta{kind: taskFwd, stage: st, micro: mi})
+				warmup[st][mi] = op.Phase == pipeline.Warmup
 			case pipeline.Backward:
-				g.Add(bid(st, op.Micro), LabelBwd, zero.dur(LabelBwd, d.bwd[st]), dev(st))
+				bwd[st][mi] = add(fmt.Sprintf("B/%d/%d", st, mi), LabelBwd, dev,
+					taskMeta{kind: taskBwd, stage: st, micro: mi})
 			}
 		}
 	}
 	// Inter-stage transfers: forward sends stage st → st+1, backward sends
 	// stage st → st−1. Each boundary/direction is its own link resource.
-	// Steady-phase transfers are partially hidden by Megatron's async
-	// send/recv (CommParams.SteadyOverlap); warmup forwards (pipeline
-	// fill) and epilogue backwards (drain) are fully exposed.
-	hide := 1 - s.Comm.SteadyOverlap
-	fwdPhase := make(map[[2]int]pipeline.Phase)
-	for st := 0; st < p; st++ {
-		for _, op := range sched.PerStage[st] {
-			if op.Kind == pipeline.Forward {
-				fwdPhase[[2]int{st, op.Micro}] = op.Phase
-			}
-		}
-	}
 	for st := 0; st < p-1; st++ {
+		link := fmt.Sprintf("linkF%d", st)
 		for mi := 0; mi < m; mi++ {
-			dur := d.sendFwdXfer
-			if fwdPhase[[2]int{st, mi}] != pipeline.Warmup {
-				dur *= hide
-			}
-			t := g.Add(sfid(st, mi), LabelInterStage, zero.dur(LabelInterStage, dur),
-				fmt.Sprintf("linkF%d", st))
-			g.Dep(g.Get(fid(st, mi)), t)
-			g.Dep(t, g.Get(fid(st+1, mi)))
+			t := add(fmt.Sprintf("SF/%d/%d", st, mi), LabelInterStage, link,
+				taskMeta{kind: taskSendFwd, stage: st, micro: mi, unhidden: warmup[st][mi]})
+			it.g.Dep(fwd[st][mi], t)
+			it.g.Dep(t, fwd[st+1][mi])
 		}
 	}
 	for st := 1; st < p; st++ {
+		link := fmt.Sprintf("linkB%d", st)
 		for mi := 0; mi < m; mi++ {
-			epilogue := sched.IsEpilogueBackward(st, mi)
-			compressed := pl.CompressBackward(st, mi)
-			xfer := d.sendBwdXfer
-			var codec float64
-			if compressed {
-				xfer = d.sendBwdCmpXfer
-				codec = d.sendBwdCodec
-			}
-			if !epilogue {
-				xfer *= hide
-			}
-			t := g.Add(sbid(st, mi), LabelInterStage, zero.dur(LabelInterStage, xfer+codec),
-				fmt.Sprintf("linkB%d", st))
-			g.Dep(g.Get(bid(st, mi)), t)
-			g.Dep(t, g.Get(bid(st-1, mi)))
+			t := add(fmt.Sprintf("SB/%d/%d", st, mi), LabelInterStage, link,
+				taskMeta{kind: taskSendBwd, stage: st, micro: mi, unhidden: sched.IsEpilogueBackward(st, mi)})
+			it.g.Dep(bwd[st][mi], t)
+			it.g.Dep(t, bwd[st-1][mi])
 		}
 	}
 	// Data-parallel all-reduce per stage, after the stage's last backward.
+	dp := make([]*simnet.Task, p)
 	for st := 0; st < p; st++ {
-		t := g.Add(fmt.Sprintf("DP/%d", st), LabelDP, zero.dur(LabelDP, d.dp[st]),
-			fmt.Sprintf("nic%d", st))
-		g.Dep(g.Get(bid(st, m-1)), t)
+		dp[st] = add(fmt.Sprintf("DP/%d", st), LabelDP, fmt.Sprintf("nic%d", st),
+			taskMeta{kind: taskDP, stage: st})
+		it.g.Dep(bwd[st][m-1], dp[st])
 	}
 	// Embedding synchronization: baseline is two chained phases (EMB DP
 	// then EMB Sync, Fig. 4a); fused is a single phase (§6). Both involve
 	// the first and last stages' NICs, after those stages' DP traffic.
 	var prev *simnet.Task
-	for i, dur := range d.embPhase {
-		t := g.Add(fmt.Sprintf("EMB/%d", i), LabelEmb, zero.dur(LabelEmb, dur), "nicEmb")
-		g.Dep(g.Get(bid(0, m-1)), t)
-		g.Dep(g.Get(bid(p-1, m-1)), t)
-		g.Dep(g.Get("DP/0"), t)
-		g.Dep(g.Get(fmt.Sprintf("DP/%d", p-1)), t)
-		if prev != nil {
-			g.Dep(prev, t)
+	for i := range d.embPhase {
+		t := add(fmt.Sprintf("EMB/%d", i), LabelEmb, "nicEmb", taskMeta{kind: taskEmb, stage: i})
+		for _, before := range []*simnet.Task{bwd[0][m-1], bwd[p-1][m-1], dp[0], dp[p-1], prev} {
+			if before != nil {
+				it.g.Dep(before, t)
+			}
 		}
 		prev = t
 	}
-	return g, nil
+	it.price(pl, d, zero)
+	return it, nil
 }
 
-// Simulate resolves one iteration and projects total training time.
+// price assigns every task its duration from the scenario's durations
+// and the plan's edge actions; tasks whose label is in zero take none.
+// It is the only place task durations are set.
+func (it *iteration) price(pl *plan.Plan, d durations, zero zeroSet) {
+	for i, t := range it.g.Tasks() {
+		m := it.meta[i]
+		var dur float64
+		switch m.kind {
+		case taskFwd:
+			dur = d.fwd[m.stage]
+		case taskBwd:
+			dur = d.bwd[m.stage]
+		case taskSendFwd:
+			dur = d.sendFwdXfer
+			if !m.unhidden {
+				dur *= d.sendHide
+			}
+		case taskSendBwd:
+			xfer, codec := d.sendBwdXfer, 0.0
+			if pl.CompressBackward(m.stage, m.micro) {
+				xfer, codec = d.sendBwdCmpXfer, d.sendBwdCodec
+			}
+			if !m.unhidden {
+				xfer *= d.sendHide
+			}
+			dur = xfer + codec
+		case taskDP:
+			dur = d.dp[m.stage]
+		case taskEmb:
+			// A fused or DP-only plan priced on the evaluator's
+			// two-phase skeleton leaves the second phase at zero.
+			if m.stage < len(d.embPhase) {
+				dur = d.embPhase[m.stage]
+			}
+		}
+		t.Duration = zero.dur(t.Label, dur)
+	}
+}
+
+// Simulate resolves one iteration and projects total training time. The
+// graph is built and frozen once; each breakdown component is a re-solve
+// of the frozen sequence with that component's tasks priced at zero.
 func Simulate(s Scenario) (Result, error) {
-	g, err := BuildGraph(s, nil)
+	it, err := buildIteration(s, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	iter, err := g.Solve()
+	seq, err := it.g.Freeze()
 	if err != nil {
 		return Result{}, err
 	}
+	iter := seq.Makespan()
 	res := Result{
 		IterationSec: iter,
 		Days:         iter * float64(s.Iterations) / 86400,
 		Exposed:      make(map[string]float64, len(AllLabels)),
-		Busy:         g.TotalByLabel(),
+		Busy:         it.g.TotalByLabel(),
 	}
 	for _, label := range AllLabels {
-		g2, err := BuildGraph(s, zeroSet{label: true})
-		if err != nil {
-			return Result{}, err
-		}
-		mk, err := g2.Solve()
-		if err != nil {
-			return Result{}, err
-		}
-		res.Exposed[label] = iter - mk
+		res.Exposed[label] = iter - seq.MakespanWithout(label)
 	}
 	return res, nil
 }

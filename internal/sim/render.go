@@ -10,11 +10,11 @@ import (
 // Forward compute prints as 'F', backward as 'B', idle as '.', and the
 // tail communications (DP/EMB) as 'D'/'E' on the stages they occupy.
 func Timeline(s Scenario, width int) (string, error) {
-	g, err := BuildGraph(s, nil)
+	it, err := buildIteration(s, nil)
 	if err != nil {
 		return "", err
 	}
-	makespan, err := g.Solve()
+	makespan, err := it.g.Solve()
 	if err != nil {
 		return "", err
 	}
@@ -41,25 +41,22 @@ func Timeline(s Scenario, width int) (string, error) {
 				row[i] = ch
 			}
 		}
-		for _, t := range g.ResourceTimeline(fmt.Sprintf("dev%d", st)) {
+		for _, t := range it.g.ResourceTimeline(fmt.Sprintf("dev%d", st)) {
 			ch := byte('F')
 			if t.Label == LabelBwd {
 				ch = 'B'
 			}
 			paint(t.Start(), t.Finish(), ch)
 		}
-		if dp := g.Get(fmt.Sprintf("DP/%d", st)); dp != nil && dp.Duration > 0 {
-			paint(dp.Start(), dp.Finish(), 'D')
-		}
-		if st == 0 || st == s.Map.PP-1 {
-			for i := 0; ; i++ {
-				emb := g.Get(fmt.Sprintf("EMB/%d", i))
-				if emb == nil {
-					break
-				}
-				if emb.Duration > 0 {
-					paint(emb.Start(), emb.Finish(), 'E')
-				}
+		for i, t := range it.g.Tasks() {
+			if t.Duration <= 0 {
+				continue
+			}
+			switch m := it.meta[i]; {
+			case m.kind == taskDP && m.stage == st:
+				paint(t.Start(), t.Finish(), 'D')
+			case m.kind == taskEmb && (st == 0 || st == s.Map.PP-1):
+				paint(t.Start(), t.Finish(), 'E')
 			}
 		}
 		fmt.Fprintf(&b, "dev%-2d |%s|\n", st, string(row))

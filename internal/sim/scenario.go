@@ -51,11 +51,12 @@ type CommParams struct {
 	// behaviour; this factor models Megatron's async comm streams.
 	//
 	// The scalar applies to the pp link class only. DP-sync overlap is
-	// not a tunable: it is computed from the compiled bucket schedule
-	// and the 1F1B structure (PredictDPOverlap — exposed comm =
-	// max(0, comm − remaining backward compute)), mirroring how the
-	// executable trainer actually hides bucketed all-reduces under the
-	// backward pass.
+	// not a tunable: in the task graph each stage's DP task starts after
+	// that stage's last backward and runs beside the backward compute
+	// still left on earlier stages, mirroring how the executable trainer
+	// hides bucketed all-reduces under the backward pass.
+	// PredictDPOverlap reports the same window in closed form (exposed
+	// comm = max(0, comm − remaining backward compute)).
 	SteadyOverlap float64
 }
 

@@ -48,29 +48,3 @@ func WriteTrace(s Scenario, w io.Writer) error {
 	}
 	return enc.Flush(w)
 }
-
-// TraceSummary returns per-resource busy/idle statistics for one
-// simulated iteration — the utilization view the paper's breakdown bars
-// aggregate.
-type TraceSummary struct {
-	Makespan float64
-	// Utilization maps each resource to busy-time / makespan.
-	Utilization map[string]float64
-}
-
-// Summarize simulates and reports utilization.
-func Summarize(s Scenario) (TraceSummary, error) {
-	g, err := BuildGraph(s, nil)
-	if err != nil {
-		return TraceSummary{}, err
-	}
-	mk, err := g.Solve()
-	if err != nil {
-		return TraceSummary{}, err
-	}
-	out := TraceSummary{Makespan: mk, Utilization: map[string]float64{}}
-	for res, busy := range g.ResourceBusy() {
-		out.Utilization[res] = busy / mk
-	}
-	return out, nil
-}

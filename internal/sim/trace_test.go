@@ -71,24 +71,3 @@ func TestWriteTraceValidJSON(t *testing.T) {
 		}
 	}
 }
-
-func TestSummarizeUtilization(t *testing.T) {
-	sc := PaperScenario(cluster.GPT25B, core.Baseline())
-	sc.Topo.Efficiency = eff(t)
-	sum, err := Summarize(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Makespan <= 0 {
-		t.Fatal("empty makespan")
-	}
-	for res, u := range sum.Utilization {
-		if u < 0 || u > 1+1e-9 {
-			t.Fatalf("resource %s utilization %v outside [0,1]", res, u)
-		}
-	}
-	// Devices must be the busiest resources in a compute-dominated run.
-	if sum.Utilization["dev0"] < 0.3 {
-		t.Fatalf("dev0 utilization %v suspiciously low", sum.Utilization["dev0"])
-	}
-}

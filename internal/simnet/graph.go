@@ -14,32 +14,31 @@ type Task struct {
 	Duration float64
 	Resource string // "" means unconstrained (infinitely parallel)
 
-	deps   []*Task
-	start  float64
-	finish float64
-	solved bool
+	index   int32   // insertion position in the graph
+	deps    []*Task // explicit dependencies
+	resPrev *Task   // the task added before this one on Resource
+	start   float64
+	finish  float64
 }
 
-// Start returns the resolved start time (valid after Graph.Solve).
+// Start returns the start time resolved by the latest solve.
 func (t *Task) Start() float64 { return t.start }
 
-// Finish returns the resolved finish time (valid after Graph.Solve).
+// Finish returns the finish time resolved by the latest solve.
 func (t *Task) Finish() float64 { return t.finish }
 
 // Graph is a DAG of tasks plus resource serialization. Resource order is
 // insertion order: adding tasks in schedule order encodes the per-device
 // execution policy, exactly how 1F1B fixes each device's op sequence.
 type Graph struct {
-	tasks    []*Task
-	byID     map[string]*Task
-	resSeq   map[string][]*Task
-	solved   bool
-	makespan float64
+	tasks   []*Task
+	byID    map[string]*Task
+	resTail map[string]*Task // last task added on each resource
 }
 
 // NewGraph returns an empty task graph.
 func NewGraph() *Graph {
-	return &Graph{byID: make(map[string]*Task), resSeq: make(map[string][]*Task)}
+	return &Graph{byID: make(map[string]*Task), resTail: make(map[string]*Task)}
 }
 
 // Add registers a task. IDs must be unique; duration must be ≥ 0.
@@ -50,13 +49,13 @@ func (g *Graph) Add(id, label string, duration float64, resource string) *Task {
 	if _, dup := g.byID[id]; dup {
 		panic(fmt.Sprintf("simnet: duplicate task id %s", id))
 	}
-	t := &Task{ID: id, Label: label, Duration: duration, Resource: resource}
+	t := &Task{ID: id, Label: label, Duration: duration, Resource: resource, index: int32(len(g.tasks))}
 	g.tasks = append(g.tasks, t)
 	g.byID[id] = t
 	if resource != "" {
-		g.resSeq[resource] = append(g.resSeq[resource], t)
+		t.resPrev = g.resTail[resource]
+		g.resTail[resource] = t
 	}
-	g.solved = false
 	return t
 }
 
@@ -66,78 +65,22 @@ func (g *Graph) Dep(before, after *Task) {
 		panic("simnet: nil task in Dep")
 	}
 	after.deps = append(after.deps, before)
-	g.solved = false
 }
-
-// Get returns a task by id, or nil.
-func (g *Graph) Get(id string) *Task { return g.byID[id] }
 
 // Tasks returns all tasks in insertion order.
 func (g *Graph) Tasks() []*Task { return g.tasks }
 
-// Solve resolves start/finish times: each task starts at the max of its
-// dependencies' finish times and its resource predecessor's finish time.
-// Returns the makespan. Errors on dependency cycles.
+// Solve freezes the graph and resolves it once: each task starts at the
+// max of its dependencies' finish times and its resource predecessor's
+// finish time. Every task's Start and Finish are recorded. Returns the
+// makespan. Errors on dependency cycles.
 func (g *Graph) Solve() (float64, error) {
-	// Materialize resource-precedence edges, then longest-path over the DAG.
-	preds := make(map[*Task][]*Task, len(g.tasks))
-	indeg := make(map[*Task]int, len(g.tasks))
-	succs := make(map[*Task][]*Task, len(g.tasks))
-	for _, t := range g.tasks {
-		preds[t] = append(preds[t], t.deps...)
+	seq, err := g.Freeze()
+	if err != nil {
+		return 0, err
 	}
-	for _, seq := range g.resSeq {
-		for i := 1; i < len(seq); i++ {
-			preds[seq[i]] = append(preds[seq[i]], seq[i-1])
-		}
-	}
-	for t, ps := range preds {
-		indeg[t] = len(ps)
-		for _, p := range ps {
-			succs[p] = append(succs[p], t)
-		}
-	}
-	var ready []*Task
-	for _, t := range g.tasks {
-		if indeg[t] == 0 {
-			ready = append(ready, t)
-		}
-	}
-	done := 0
-	var makespan float64
-	for len(ready) > 0 {
-		t := ready[0]
-		ready = ready[1:]
-		var start float64
-		for _, p := range preds[t] {
-			if p.finish > start {
-				start = p.finish
-			}
-		}
-		t.start = start
-		t.finish = start + t.Duration
-		t.solved = true
-		if t.finish > makespan {
-			makespan = t.finish
-		}
-		done++
-		for _, s := range succs[t] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready = append(ready, s)
-			}
-		}
-	}
-	if done != len(g.tasks) {
-		return 0, fmt.Errorf("simnet: dependency cycle (%d of %d tasks resolved)", done, len(g.tasks))
-	}
-	g.solved = true
-	g.makespan = makespan
-	return makespan, nil
+	return seq.Makespan(), nil
 }
-
-// Makespan returns the last Solve result.
-func (g *Graph) Makespan() float64 { return g.makespan }
 
 // TotalByLabel sums task durations per label — the raw material of the
 // CPI-stack-style breakdown of Fig. 3/10.
@@ -149,67 +92,15 @@ func (g *Graph) TotalByLabel() map[string]float64 {
 	return out
 }
 
-// ResourceBusy returns per-resource busy time (Σ durations).
-func (g *Graph) ResourceBusy() map[string]float64 {
-	out := make(map[string]float64)
-	for _, t := range g.tasks {
-		if t.Resource != "" {
-			out[t.Resource] += t.Duration
-		}
-	}
-	return out
-}
-
-// CriticalPath returns the chain of tasks ending at the makespan,
-// following, at each step, the predecessor (dependency or resource) whose
-// finish time equals the task's start time.
-func (g *Graph) CriticalPath() []*Task {
-	if !g.solved {
-		return nil
-	}
-	// Find the final task.
-	var last *Task
-	for _, t := range g.tasks {
-		if last == nil || t.finish > last.finish {
-			last = t
-		}
-	}
-	resPrev := make(map[*Task]*Task)
-	for _, seq := range g.resSeq {
-		for i := 1; i < len(seq); i++ {
-			resPrev[seq[i]] = seq[i-1]
-		}
-	}
-	var path []*Task
-	for t := last; t != nil; {
-		path = append(path, t)
-		if t.start == 0 {
-			break
-		}
-		var next *Task
-		cands := append([]*Task{}, t.deps...)
-		if rp := resPrev[t]; rp != nil {
-			cands = append(cands, rp)
-		}
-		for _, c := range cands {
-			if c.finish == t.start {
-				next = c
-				break
-			}
-		}
-		t = next
-	}
-	// Reverse to chronological order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
-}
-
 // ResourceTimeline returns the tasks of one resource sorted by start time,
 // for rendering ASCII timing diagrams (Fig. 4).
 func (g *Graph) ResourceTimeline(resource string) []*Task {
-	seq := append([]*Task{}, g.resSeq[resource]...)
+	var seq []*Task
+	for _, t := range g.tasks {
+		if t.Resource == resource {
+			seq = append(seq, t)
+		}
+	}
 	sort.SliceStable(seq, func(i, j int) bool { return seq[i].start < seq[j].start })
 	return seq
 }

@@ -3,140 +3,92 @@ package simnet
 import "fmt"
 
 // Sequence is a graph's precedence structure frozen for repeated
-// re-pricing: the topological order and the predecessor lists (explicit
-// dependencies plus resource serialization) are computed once, so
-// resolving the makespan after a round of duration updates is a single
-// pass over pre-built index slices with no allocation. This is what lets
+// re-pricing: the topological order over explicit dependencies plus
+// resource serialization is computed once, so resolving the makespan
+// after a round of duration updates is a single pass over that order
+// with no allocation. This is what lets
 // a plan-space search price thousands of candidate configurations on one
 // task graph in milliseconds — the graph's *structure* is fixed by the
 // parallelism grid while only the durations vary with the candidate.
 //
 // The frozen structure aliases the graph's tasks: update durations by
-// writing Task.Duration (or pass an override to Makespan) and re-solve.
-// Adding tasks or dependencies to the graph after Freeze invalidates the
-// sequence; Freeze again.
+// writing Task.Duration and re-solve. Adding tasks or dependencies to
+// the graph after Freeze invalidates the sequence; Freeze again.
 type Sequence struct {
 	order []*Task // topological order
-	// preds[i] indexes order: every predecessor (dependency or resource
-	// neighbor) of order[i] appears earlier in the order.
-	preds  [][]int32
-	finish []float64 // scratch, reused across solves
 }
 
-// Freeze topologically sorts the graph once and returns the frozen
-// sequence. Errors on dependency cycles, exactly like Solve.
+// Freeze topologically sorts the graph once (Kahn's algorithm) and
+// returns the frozen sequence. Errors on dependency cycles.
 func (g *Graph) Freeze() (*Sequence, error) {
 	n := len(g.tasks)
-	idx := make(map[*Task]int32, n)
-	for i, t := range g.tasks {
-		idx[t] = int32(i)
-	}
-	preds := make([][]int32, n)
-	for i, t := range g.tasks {
-		for _, d := range t.deps {
-			preds[i] = append(preds[i], idx[d])
-		}
-	}
-	for _, seq := range g.resSeq {
-		for i := 1; i < len(seq); i++ {
-			preds[idx[seq[i]]] = append(preds[idx[seq[i]]], idx[seq[i-1]])
-		}
-	}
-	// Kahn's algorithm over the index form.
 	indeg := make([]int32, n)
 	succs := make([][]int32, n)
-	for i, ps := range preds {
-		indeg[i] = int32(len(ps))
-		for _, p := range ps {
-			succs[p] = append(succs[p], int32(i))
+	edge := func(before, after *Task) {
+		indeg[after.index]++
+		succs[before.index] = append(succs[before.index], after.index)
+	}
+	for _, t := range g.tasks {
+		for _, d := range t.deps {
+			edge(d, t)
+		}
+		if t.resPrev != nil {
+			edge(t.resPrev, t)
 		}
 	}
+	// order doubles as the ready queue.
 	order := make([]*Task, 0, n)
-	pos := make([]int32, n) // position of task i in order
-	var ready []int32
-	for i := range indeg {
-		if indeg[i] == 0 {
-			ready = append(ready, int32(i))
+	for _, t := range g.tasks {
+		if indeg[t.index] == 0 {
+			order = append(order, t)
 		}
 	}
-	for len(ready) > 0 {
-		i := ready[0]
-		ready = ready[1:]
-		pos[i] = int32(len(order))
-		order = append(order, g.tasks[i])
-		for _, s := range succs[i] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready = append(ready, s)
+	for head := 0; head < len(order); head++ {
+		t := order[head]
+		for _, s := range succs[t.index] {
+			if indeg[s]--; indeg[s] == 0 {
+				order = append(order, g.tasks[s])
 			}
 		}
 	}
 	if len(order) != n {
 		return nil, fmt.Errorf("simnet: dependency cycle (%d of %d tasks resolved)", len(order), n)
 	}
-	// Re-index predecessor lists into order positions so the solve pass
-	// reads finish times of already-resolved entries only.
-	seq := &Sequence{order: order, preds: make([][]int32, n), finish: make([]float64, n)}
-	for i, t := range g.tasks {
-		ps := make([]int32, len(preds[i]))
-		for j, p := range preds[i] {
-			ps[j] = pos[p]
-		}
-		seq.preds[pos[idx[t]]] = ps
-	}
-	return seq, nil
+	return &Sequence{order: order}, nil
 }
-
-// Tasks returns the frozen tasks in topological order (aliased, not
-// copied — write Task.Duration through them before re-solving).
-func (s *Sequence) Tasks() []*Task { return s.order }
 
 // Makespan resolves the frozen structure against the tasks' current
-// durations and returns the makespan. dur, when non-nil, overrides a
-// task's duration (return a negative value to keep Task.Duration) —
-// zero-duration overrides implement the §3 CPI-stack "turn a component
-// off" passes without touching the graph. No allocation.
-func (s *Sequence) Makespan(dur func(*Task) float64) float64 {
-	var makespan float64
-	for i, t := range s.order {
-		var start float64
-		for _, p := range s.preds[i] {
-			if f := s.finish[p]; f > start {
-				start = f
-			}
-		}
-		d := t.Duration
-		if dur != nil {
-			if o := dur(t); o >= 0 {
-				d = o
-			}
-		}
-		f := start + d
-		s.finish[i] = f
-		if f > makespan {
-			makespan = f
-		}
-	}
-	return makespan
-}
+// durations, records every task's Start and Finish, and returns the
+// makespan. No allocation.
+func (s *Sequence) Makespan() float64 { return s.solve("") }
 
 // MakespanWithout resolves the makespan with every task of the given
-// label priced at zero — the breakdown pass. No allocation.
-func (s *Sequence) MakespanWithout(label string) float64 {
+// label priced at zero — the §3 CPI-stack "turn a component off" pass,
+// without touching the graph. No allocation.
+func (s *Sequence) MakespanWithout(label string) float64 { return s.solve(label) }
+
+// solve is the one pass that resolves finish times: each task starts at
+// the latest finish among its dependencies and its resource
+// predecessor, all of which come earlier in the order. Tasks labelled
+// zero take no time ("" zeroes nothing).
+func (s *Sequence) solve(zero string) float64 {
 	var makespan float64
-	for i, t := range s.order {
+	for _, t := range s.order {
 		var start float64
-		for _, p := range s.preds[i] {
-			if f := s.finish[p]; f > start {
-				start = f
+		for _, p := range t.deps {
+			if p.finish > start {
+				start = p.finish
 			}
 		}
+		if p := t.resPrev; p != nil && p.finish > start {
+			start = p.finish
+		}
 		d := t.Duration
-		if t.Label == label {
+		if zero != "" && t.Label == zero {
 			d = 0
 		}
 		f := start + d
-		s.finish[i] = f
+		t.start, t.finish = start, f
 		if f > makespan {
 			makespan = f
 		}

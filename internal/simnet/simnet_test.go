@@ -196,37 +196,6 @@ func TestTotalByLabel(t *testing.T) {
 	}
 }
 
-func TestResourceBusy(t *testing.T) {
-	g := NewGraph()
-	g.Add("a", "c", 1, "d0")
-	g.Add("b", "c", 2, "d0")
-	g.Add("c", "c", 4, "d1")
-	busy := g.ResourceBusy()
-	if busy["d0"] != 3 || busy["d1"] != 4 {
-		t.Fatalf("busy %v", busy)
-	}
-}
-
-func TestCriticalPath(t *testing.T) {
-	g := NewGraph()
-	a := g.Add("a", "c", 2, "dev0")
-	x := g.Add("x", "comm", 1, "link0")
-	b := g.Add("b", "c", 2, "dev1")
-	g.Dep(a, x)
-	g.Dep(x, b)
-	if _, err := g.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	cp := g.CriticalPath()
-	if len(cp) != 3 || cp[0] != a || cp[1] != x || cp[2] != b {
-		ids := make([]string, len(cp))
-		for i, t2 := range cp {
-			ids[i] = t2.ID
-		}
-		t.Fatalf("critical path %v", ids)
-	}
-}
-
 func TestResourceTimelineSorted(t *testing.T) {
 	g := NewGraph()
 	a := g.Add("a", "c", 1, "d0")

@@ -141,7 +141,8 @@ func TestServePriceOverrides(t *testing.T) {
 }
 
 // TestServeBadRequests pins the 4xx surface: unknown model, unknown
-// preset, unknown JSON field, invalid config, wrong method.
+// preset, unknown JSON field, invalid config, negative bucket budget,
+// wrong method.
 func TestServeBadRequests(t *testing.T) {
 	_, ts := newTestServer(t)
 	cases := []struct {
@@ -151,6 +152,7 @@ func TestServeBadRequests(t *testing.T) {
 		{"unknown preset", `{"config":{"preset":"warp"}}`},
 		{"unknown field", `{"bucketbytes":1}`},
 		{"bad compressor", `{"config":{"preset":"cbfesc","cb_alg":"no-such"}}`},
+		{"negative bucket budget", `{"config":{"preset":"cbfesc"},"bucket_bytes":-1}`},
 		{"malformed", `{`},
 	}
 	for _, tc := range cases {
