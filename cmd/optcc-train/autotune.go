@@ -40,19 +40,11 @@ func tunePlan(cfg train.Config, seed int64, budget float64, top int) (core.Confi
 
 // verifyAutotuned closes the autotune loop after training: every
 // executed wire volume — per collective class in aggregate, and DP sync
-// bucket by bucket — must equal autotune.PredictExecution's numbers at
+// bucket by bucket — must equal sim.PredictExecution's numbers at
 // tolerance zero. A mismatch means the plan the trainer executed is not
 // the plan the autotuner priced, and errors loudly.
 func verifyAutotuned(tr *train.Trainer, iters int) error {
-	pred, err := autotune.PredictExecution(tr.Plan(), autotune.Probes{
-		DenseBoundaryBytes: tr.DenseBoundaryBytes(),
-		CBWireBytes:        tr.ProbeCBWireBytes(),
-		DPPayloadBytes:     tr.ProbeDPPayloadBytes,
-		EmbTableBytes:      tr.EmbTableBytes(),
-	})
-	if err != nil {
-		return err
-	}
+	pred := sim.PredictExecution(tr.Plan(), tr.Probes())
 	st, ok := tr.CollectiveStats()
 	if !ok {
 		return fmt.Errorf("autotune: no collective transport to verify against (1×1 grid)")

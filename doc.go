@@ -35,7 +35,8 @@
 // before the optimizer step — still bit-identical, with executed
 // per-bucket wire volume equal to sim.PredictDPBucketBytes exactly,
 // messages and steps per bucket rather than per gradient, and the exposed
-// tail modeled by sim.PredictDPOverlap.
+// tail read off the simulator's solved iteration graph by
+// sim.PredictDPOverlap.
 // Checkpoints (v2) persist the full resume state: weights, optimizer
 // momentum, iteration/sampling position, and every error-feedback
 // residual and PowerSGD warm-start factor.

@@ -5,28 +5,30 @@
 // 128, fused embedding sync — and Table 2 shows that choice working.
 // This package treats the choice as a search problem: a Candidate
 // encodes one point of the space (CB on/off + family + rank, DP-sync
-// depth + family + rank, §6 embedding strategy, bucket budget), a
-// Space enumerates the registry-backed menus, a QualityModel derived
-// from the ablation data rejects candidates whose estimated quality
-// loss exceeds the budget before any pricing happens, and Search prices
-// the survivors on a frozen-sequence sim.Evaluator — exhaustively for
-// small spaces, by seeded simulated annealing for large ones — and
-// returns the best compiled plan.Plan plus a ranked candidate table.
+// depth + family + rank, §6 embedding strategy), a Space enumerates the
+// registry-backed menus, a QualityModel derived from the ablation data
+// rejects candidates whose estimated quality loss exceeds the budget
+// before any pricing happens, and Search prices the survivors on a
+// frozen-sequence sim.Evaluator — exhaustively for small spaces, by
+// seeded simulated annealing for large ones — and returns the best
+// compiled plan.Plan plus a ranked candidate table.
 //
 // Two invariants the rest of the repo relies on:
 //
 //   - Determinism: the same space, quality model, and seed produce the
 //     same ranked table, bit for bit (golden-tested). Enumeration order
 //     is structural, the annealer's randomness comes from one seeded
-//     source, and ties break on (cost, total buckets, candidate key).
+//     source, and ties break on (cost, candidate key).
 //   - Never price an invalid plan: every candidate passes Validate (and
 //     the quality budget) before pricing, and pricing itself goes
 //     through plan.Compile — a candidate the plan compiler rejects is
 //     counted and skipped, never panicked on (fuzz-tested).
 //
-// Closing the loop, PredictExecution prices the winner's executed-run
-// wire volumes at trainer scale from the same compiled plan, and the
-// executor crosschecks pin executed == predicted at tolerance zero.
+// The DP-sync bucket budget is not a dimension: the simulator prices a
+// stage's DP sync as one task whatever the budget, so every candidate
+// is priced, and the winner compiled, at the plan default. The search
+// only searches; the executed-traffic prediction that closes the loop
+// on the winner is sim.PredictExecution.
 package autotune
 
 import (
@@ -63,12 +65,6 @@ type Candidate struct {
 	// FuseEmbedding selects the §6 fused embedding sync (Eq. 16) over
 	// the baseline two-phase form (Eq. 15).
 	FuseEmbedding bool
-
-	// BucketBytes is the DP-sync bucket budget (0 = the plan default).
-	// The analytic cost model prices DP sync from total volume, so the
-	// budget is cost-neutral at pricing time; the search tie-breaks
-	// toward the coarsest schedule (fewest buckets).
-	BucketBytes int64
 }
 
 // cbRankResponsive reports whether CBRank changes the family's payload:
@@ -155,9 +151,6 @@ func (c Candidate) Validate(stages int) error {
 			return fmt.Errorf("autotune: DP family %q needs rank ≥ 1, got %d", v.DPFamily, v.DPRank)
 		}
 	}
-	if v.BucketBytes < 0 {
-		return fmt.Errorf("autotune: negative bucket budget %d", v.BucketBytes)
-	}
 	return nil
 }
 
@@ -209,12 +202,11 @@ func (c Candidate) Key() string {
 	} else {
 		b.WriteString(" emb=base")
 	}
-	fmt.Fprintf(&b, " bkt=%d", v.BucketBytes)
 	return b.String()
 }
 
 // Space is the candidate menu the search draws from: registry family
-// names and the rank/bucket grids. Stages must match the pricing
+// names and the rank grids. Stages must match the pricing
 // scenario's pipeline depth.
 type Space struct {
 	Stages int
@@ -227,21 +219,17 @@ type Space struct {
 	// families additionally sweep DPRanks.
 	DPFamilies []string
 	DPRanks    []int
-	// BucketBudgets are the DP-sync bucket budgets to try (0 = default).
-	BucketBudgets []int64
 }
 
 // DefaultSpace returns the search space the CLIs use: every paper
-// family that the registry backs, the paper's rank neighborhoods, and
-// a coarse bucket-budget sweep.
+// family that the registry backs and the paper's rank neighborhoods.
 func DefaultSpace(stages int) Space {
 	return Space{
-		Stages:        stages,
-		CBFamilies:    []string{"powersgd", "topk", "terngrad", "uniform8"},
-		CBRanks:       []int{4, 16, 64},
-		DPFamilies:    []string{"powersgd", "terngrad", "uniform8"},
-		DPRanks:       []int{32, 128, 512},
-		BucketBudgets: []int64{0, 4 << 20, 64 << 20},
+		Stages:     stages,
+		CBFamilies: []string{"powersgd", "topk", "terngrad", "uniform8"},
+		CBRanks:    []int{4, 16, 64},
+		DPFamilies: []string{"powersgd", "terngrad", "uniform8"},
+		DPRanks:    []int{32, 128, 512},
 	}
 }
 
@@ -277,34 +265,22 @@ func (sp Space) dpChoices() []Candidate {
 	return out
 }
 
-// buckets returns the bucket-budget menu (never empty).
-func (sp Space) buckets() []int64 {
-	if len(sp.BucketBudgets) == 0 {
-		return []int64{0}
-	}
-	return sp.BucketBudgets
-}
-
 // Enumerate lists the whole space in deterministic structural order
-// (CB menu × DP menu × embedding × bucket budget), deduplicated by
-// canonical key.
+// (CB menu × DP menu × embedding), deduplicated by canonical key.
 func (sp Space) Enumerate() []Candidate {
 	var out []Candidate
 	seen := make(map[string]bool)
 	for _, cb := range sp.cbChoices() {
 		for _, dp := range sp.dpChoices() {
 			for _, fused := range []bool{false, true} {
-				for _, bkt := range sp.buckets() {
-					c := Candidate{
-						CB: cb.CB, CBFamily: cb.CBFamily, CBRank: cb.CBRank,
-						DPStages: dp.DPStages, DPFamily: dp.DPFamily, DPRank: dp.DPRank,
-						FuseEmbedding: fused,
-						BucketBytes:   bkt,
-					}.Normalize()
-					if k := c.Key(); !seen[k] {
-						seen[k] = true
-						out = append(out, c)
-					}
+				c := Candidate{
+					CB: cb.CB, CBFamily: cb.CBFamily, CBRank: cb.CBRank,
+					DPStages: dp.DPStages, DPFamily: dp.DPFamily, DPRank: dp.DPRank,
+					FuseEmbedding: fused,
+				}.Normalize()
+				if k := c.Key(); !seen[k] {
+					seen[k] = true
+					out = append(out, c)
 				}
 			}
 		}
@@ -319,7 +295,7 @@ func (sp Space) Enumerate() []Candidate {
 // into one that panics the plan compiler (fuzz-tested).
 func (c Candidate) Mutate(rng *rand.Rand, sp Space) Candidate {
 	v := c.Normalize()
-	switch rng.Intn(4) {
+	switch rng.Intn(3) {
 	case 0:
 		cb := sp.cbChoices()
 		pick := cb[rng.Intn(len(cb))]
@@ -330,9 +306,6 @@ func (c Candidate) Mutate(rng *rand.Rand, sp Space) Candidate {
 		v.DPStages, v.DPFamily, v.DPRank = pick.DPStages, pick.DPFamily, pick.DPRank
 	case 2:
 		v.FuseEmbedding = !v.FuseEmbedding
-	case 3:
-		bkt := sp.buckets()
-		v.BucketBytes = bkt[rng.Intn(len(bkt))]
 	}
 	return v.Normalize()
 }

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -58,8 +59,8 @@ func TestEnumerateDeterministicAndValid(t *testing.T) {
 	}
 	// CB menu: off + powersgd×3 + topk×3 + terngrad + uniform8 = 9.
 	// DP menu: dense + 4 prefixes × (powersgd×3 + terngrad + uniform8) = 21.
-	// × emb 2 × buckets 3 = 1134.
-	if want := 9 * 21 * 2 * 3; len(all) != want {
+	// × emb 2 = 378.
+	if want := 9 * 21 * 2; len(all) != want {
 		t.Fatalf("enumerated %d candidates, want %d", len(all), want)
 	}
 	seen := make(map[string]bool, len(all))
@@ -89,9 +90,20 @@ func TestEnumerateDeterministicAndValid(t *testing.T) {
 type fakePricer struct {
 	stages int
 	priced []string
+	// fail, when set, makes Price reject the configs it matches; failed
+	// records each distinct rejected config.
+	fail   func(core.Config) bool
+	failed map[string]bool
 }
 
 func (f *fakePricer) Price(cfg core.Config, bucketBytes int64) (sim.Estimate, error) {
+	if f.fail != nil && f.fail(cfg) {
+		if f.failed == nil {
+			f.failed = make(map[string]bool)
+		}
+		f.failed[fmt.Sprintf("%+v", cfg)] = true
+		return sim.Estimate{}, fmt.Errorf("fake: %s rejected", cfg.Name())
+	}
 	h := fnv.New64a()
 	h.Write([]byte(cfg.Name()))
 	h.Write([]byte{byte(cfg.CBRank), byte(cfg.DPRank), byte(bucketBytes >> 16)})
@@ -104,7 +116,6 @@ func (f *fakePricer) Price(cfg core.Config, bucketBytes int64) (sim.Estimate, er
 		PPBytesPerReplica: int64(v % 1e6),
 		DPBytes:           int64(v % 2e6),
 		EmbBytes:          int64(v % 3e5),
-		Buckets:           []int{int(v % 4), int(v % 3)},
 	}
 	f.priced = append(f.priced, cfg.Name())
 	return est, nil
@@ -128,12 +139,11 @@ func fuzzGrid(stages int, bucketBytes int64) plan.Grid {
 
 func goldenSpace() Space {
 	return Space{
-		Stages:        2,
-		CBFamilies:    []string{"powersgd", "uniform8"},
-		CBRanks:       []int{4},
-		DPFamilies:    []string{"powersgd"},
-		DPRanks:       []int{8},
-		BucketBudgets: []int64{0, 1024},
+		Stages:     2,
+		CBFamilies: []string{"powersgd", "uniform8"},
+		CBRanks:    []int{4},
+		DPFamilies: []string{"powersgd"},
+		DPRanks:    []int{8},
 	}
 }
 
@@ -184,6 +194,48 @@ func TestSearchDeterministicAcrossRuns(t *testing.T) {
 	}
 	if !strings.Contains(a, "anneal") {
 		t.Fatalf("expected anneal mode, got:\n%s", a)
+	}
+}
+
+// TestSearchCountsEachCandidateOnce pins the accounting in both modes:
+// the annealer proposes the same candidates many times over, yet every
+// distinct candidate counts once — Enumerated and Admitted match the
+// exhaustive run, and Rejected is the candidates outside the budget
+// plus the distinct pricing failures.
+func TestSearchCountsEachCandidateOnce(t *testing.T) {
+	sp, qm := goldenSpace(), DefaultQualityModel()
+	failing := func(cfg core.Config) bool { return cfg.CBAlg == "uniform8" }
+	run := func(opts Options) (*Result, int) {
+		pr := &fakePricer{stages: sp.Stages, fail: failing}
+		res, err := Search(pr, sp, qm, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, len(pr.failed)
+	}
+	exh, exhFailed := run(Options{Seed: 5})
+	ann, annFailed := run(Options{Seed: 5, ExhaustiveLimit: 1})
+	if exh.Mode != "exhaustive" || ann.Mode != "anneal" {
+		t.Fatalf("modes %s/%s, want exhaustive/anneal", exh.Mode, ann.Mode)
+	}
+	if exhFailed == 0 {
+		t.Fatal("no admitted candidate fails pricing: the failure path is untested")
+	}
+	if exh.Priced+exhFailed != exh.Admitted {
+		t.Errorf("exhaustive: %d priced + %d failed != %d admitted", exh.Priced, exhFailed, exh.Admitted)
+	}
+	if ann.Enumerated != exh.Enumerated || ann.Admitted != exh.Admitted {
+		t.Errorf("anneal counts %d enumerated / %d admitted, exhaustive %d / %d",
+			ann.Enumerated, ann.Admitted, exh.Enumerated, exh.Admitted)
+	}
+	for _, c := range []struct {
+		res    *Result
+		failed int
+	}{{exh, exhFailed}, {ann, annFailed}} {
+		if want := c.res.Enumerated - c.res.Admitted + c.failed; c.res.Rejected != want {
+			t.Errorf("%s: %d rejected, want %d outside the budget + %d distinct pricing failures",
+				c.res.Mode, c.res.Rejected, c.res.Enumerated-c.res.Admitted, c.failed)
+		}
 	}
 }
 
@@ -253,68 +305,6 @@ func TestSearchWinnerBeatsHandPicked(t *testing.T) {
 		if res.Ranked[i].Estimate.IterationSec < res.Ranked[i-1].Estimate.IterationSec {
 			t.Fatal("table not sorted by predicted cost")
 		}
-	}
-}
-
-func TestPredictExecutionClosedForms(t *testing.T) {
-	cfg := core.CBFESC()
-	pl, err := plan.Compile(cfg, fuzzGrid(4, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	probes := Probes{
-		DenseBoundaryBytes: 4096,
-		CBWireBytes:        768,
-		DPPayloadBytes: func(stage, ch int) int64 {
-			if pl.DPCompressed(stage) && ch != 2 {
-				return 100
-			}
-			return 0
-		},
-		EmbTableBytes: 5000,
-	}
-	pred, err := PredictExecution(pl, probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPP := sim.PredictInterStageFromPlan(pl, 4096, 768).Bytes * 2
-	if pred.PPBytes != wantPP {
-		t.Fatalf("PP bytes %d want %d", pred.PPBytes, wantPP)
-	}
-	wantBuckets, err := sim.PredictDPBucketBytes(pl, probes.DPPayloadBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantDP int64
-	for s, row := range wantBuckets {
-		for b, v := range row {
-			if pred.DPBuckets[s][b] != v {
-				t.Fatalf("bucket (%d,%d) %d want %d", s, b, pred.DPBuckets[s][b], v)
-			}
-			wantDP += v
-		}
-	}
-	if pred.DPBytes != wantDP {
-		t.Fatalf("DP bytes %d want %d", pred.DPBytes, wantDP)
-	}
-	// D=2, fused: 2·v·(2D−1) = 2·5000·3.
-	if want := int64(2 * 5000 * 3); pred.EmbBytes != want {
-		t.Fatalf("emb bytes %d want %d (strategy %s)", pred.EmbBytes, want, pl.Embedding())
-	}
-
-	// Two-phase: 4v(D−1) + 2vD = 4·5000·1 + 2·5000·2.
-	cfg2 := core.CBFESC()
-	cfg2.FuseEmbedding = false
-	pl2, err := plan.Compile(cfg2, fuzzGrid(4, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred2, err := PredictExecution(pl2, probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(4*5000 + 2*5000*2); pred2.EmbBytes != want {
-		t.Fatalf("two-phase emb bytes %d want %d", pred2.EmbBytes, want)
 	}
 }
 

@@ -20,10 +20,10 @@ var fuzzFamilies = []string{
 // and every Mutate of a valid candidate stays valid and compilable.
 // Nothing in the pipeline may panic.
 func FuzzCandidateMutation(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(0), int16(16), uint8(2), int16(128), uint8(2), int64(0), false)
-	f.Add(int64(9), uint8(10), uint8(3), int16(-4), uint8(4), int16(0), uint8(9), int64(-100), true)
-	f.Add(int64(42), uint8(0), uint8(9), int16(32767), uint8(10), int16(1), uint8(200), int64(1<<40), false)
-	f.Fuzz(func(t *testing.T, seed int64, steps, cbFam uint8, cbRank int16, dpFam uint8, dpRank int16, dpStages uint8, bucket int64, fuse bool) {
+	f.Add(int64(1), uint8(3), uint8(0), int16(16), uint8(2), int16(128), uint8(2), false)
+	f.Add(int64(9), uint8(10), uint8(3), int16(-4), uint8(4), int16(0), uint8(9), true)
+	f.Add(int64(42), uint8(0), uint8(9), int16(32767), uint8(10), int16(1), uint8(200), false)
+	f.Fuzz(func(t *testing.T, seed int64, steps, cbFam uint8, cbRank int16, dpFam uint8, dpRank int16, dpStages uint8, fuse bool) {
 		stages := 1 + int(seed&3)
 		c := Candidate{
 			CB:       cbFam%2 == 0,
@@ -34,7 +34,6 @@ func FuzzCandidateMutation(f *testing.F) {
 			DPRank:   int(dpRank),
 
 			FuseEmbedding: fuse,
-			BucketBytes:   bucket,
 		}
 		grid := fuzzGrid(stages, 0)
 		check := func(c Candidate) bool {
@@ -45,11 +44,7 @@ func FuzzCandidateMutation(f *testing.F) {
 				return false // rejected before pricing — the allowed outcome
 			}
 			cfg := c.Config(stages, 1)
-			g := grid
-			if c.BucketBytes > 0 {
-				g.BucketBytes = c.BucketBytes
-			}
-			if _, err := plan.Compile(cfg, g); err != nil {
+			if _, err := plan.Compile(cfg, grid); err != nil {
 				t.Fatalf("candidate %s passed Validate but failed Compile: %v", c.Key(), err)
 			}
 			return true

@@ -14,7 +14,9 @@ import (
 
 // Pricer prices one candidate configuration and compiles its plan.
 // *sim.Evaluator is the canonical implementation (frozen-sequence
-// batch pricing); tests substitute deterministic fakes.
+// batch pricing); tests substitute deterministic fakes. Search always
+// passes bucketBytes 0, the plan default; other callers (the what-if
+// service, optcc-sim -price) price any budget through the same method.
 type Pricer interface {
 	Price(cfg core.Config, bucketBytes int64) (sim.Estimate, error)
 	Plan(cfg core.Config, bucketBytes int64) (*plan.Plan, error)
@@ -54,9 +56,6 @@ type Ranked struct {
 	Estimate  sim.Estimate
 	// LossPPL is the quality model's estimated ΔPPL.
 	LossPPL float64
-	// TotalBuckets sums the compiled plan's per-stage bucket counts —
-	// the first tie-break after cost (coarsest schedule wins).
-	TotalBuckets int
 }
 
 // Result is the search outcome: the full ranking (best first) plus the
@@ -65,12 +64,12 @@ type Result struct {
 	Mode string // "exhaustive" or "anneal"
 	Seed int64
 	// Enumerated counts the whole space; Admitted the candidates inside
-	// the quality budget; Priced the candidates actually evaluated;
-	// Rejected the candidates dropped before or at pricing (quality
-	// budget, validation, or plan-compile errors).
+	// the quality budget; Priced the distinct candidates actually
+	// evaluated; Rejected the distinct candidates dropped before or at
+	// pricing (quality budget, validation, or plan-compile errors).
 	Enumerated, Admitted, Priced, Rejected int
-	// Ranked is sorted by (IterationSec, TotalBuckets, Key) — a total
-	// order, so equal-cost candidates rank deterministically. Truncated
+	// Ranked is sorted by (IterationSec, Key) — a total order, so
+	// equal-cost candidates rank deterministically. Truncated
 	// to Options.Top when set.
 	Ranked []Ranked
 	// Winner is Ranked[0] (kept separately so table truncation can
@@ -106,17 +105,13 @@ func Search(pr Pricer, sp Space, qm QualityModel, opts Options) (*Result, error)
 
 	price := func(c Candidate) (Ranked, bool) {
 		cfg := c.Config(sp.Stages, opts.Seed)
-		est, err := pr.Price(cfg, c.BucketBytes)
+		est, err := pr.Price(cfg, 0)
 		if err != nil {
 			res.Rejected++
 			return Ranked{}, false
 		}
 		res.Priced++
-		r := Ranked{Candidate: c, Config: cfg, Estimate: est, LossPPL: qm.EstimateLoss(c, sp.Stages)}
-		for _, n := range est.Buckets {
-			r.TotalBuckets += n
-		}
-		return r, true
+		return Ranked{Candidate: c, Config: cfg, Estimate: est, LossPPL: qm.EstimateLoss(c, sp.Stages)}, true
 	}
 
 	if len(admitted) <= opts.ExhaustiveLimit {
@@ -128,7 +123,7 @@ func Search(pr Pricer, sp Space, qm QualityModel, opts Options) (*Result, error)
 		}
 	} else {
 		res.Mode = "anneal"
-		res.Ranked = anneal(admitted, sp, qm, opts, price, res)
+		res.Ranked = anneal(admitted, sp, qm, opts, price)
 	}
 	if len(res.Ranked) == 0 {
 		return nil, fmt.Errorf("autotune: no candidate priced successfully (%d rejected)", res.Rejected)
@@ -139,16 +134,13 @@ func Search(pr Pricer, sp Space, qm QualityModel, opts Options) (*Result, error)
 		if a.Estimate.IterationSec != b.Estimate.IterationSec {
 			return a.Estimate.IterationSec < b.Estimate.IterationSec
 		}
-		if a.TotalBuckets != b.TotalBuckets {
-			return a.TotalBuckets < b.TotalBuckets
-		}
 		return a.Candidate.Key() < b.Candidate.Key()
 	})
 	res.Winner = res.Ranked[0]
 	if opts.Top > 0 && len(res.Ranked) > opts.Top {
 		res.Ranked = res.Ranked[:opts.Top]
 	}
-	wp, err := pr.Plan(res.Winner.Config, res.Winner.Candidate.BucketBytes)
+	wp, err := pr.Plan(res.Winner.Config, 0)
 	if err != nil {
 		return nil, fmt.Errorf("autotune: winner failed to recompile: %w", err)
 	}
@@ -161,21 +153,28 @@ func Search(pr Pricer, sp Space, qm QualityModel, opts Options) (*Result, error)
 // improvements always and regressions with Boltzmann probability under
 // a geometric temperature schedule. Every distinct candidate priced
 // along the walk lands in the ranking (deduplicated by key), so the
-// final sort sees the whole explored set.
+// final sort sees the whole explored set. Each distinct candidate is
+// priced at most once, so a pricing failure is counted once however
+// often the walk proposes it; a proposal outside the quality budget is
+// a member of the space that enumeration already counted.
 func anneal(admitted []Candidate, sp Space, qm QualityModel, opts Options,
-	price func(Candidate) (Ranked, bool), res *Result) []Ranked {
+	price func(Candidate) (Ranked, bool)) []Ranked {
 	rng := rand.New(rand.NewSource(opts.Seed))
-	seen := make(map[string]Ranked)
-	var order []string
+	type outcome struct {
+		r  Ranked
+		ok bool
+	}
+	seen := make(map[string]outcome)
+	var out []Ranked
 	eval := func(c Candidate) (Ranked, bool) {
 		k := c.Key()
-		if r, ok := seen[k]; ok {
-			return r, true
+		if o, ok := seen[k]; ok {
+			return o.r, o.ok
 		}
 		r, ok := price(c)
+		seen[k] = outcome{r, ok}
 		if ok {
-			seen[k] = r
-			order = append(order, k)
+			out = append(out, r)
 		}
 		return r, ok
 	}
@@ -197,7 +196,6 @@ func anneal(admitted []Candidate, sp Space, qm QualityModel, opts Options,
 		temp *= decay
 		next := cur.Mutate(rng, sp)
 		if next.Validate(sp.Stages) != nil || !qm.Admits(next, sp.Stages) {
-			res.Rejected++
 			continue
 		}
 		nextR, ok := eval(next)
@@ -208,10 +206,6 @@ func anneal(admitted []Candidate, sp Space, qm QualityModel, opts Options,
 		if delta <= 0 || rng.Float64() < math.Exp(-delta/math.Max(temp, 1e-12)) {
 			cur, curR = next, nextR
 		}
-	}
-	out := make([]Ranked, 0, len(order))
-	for _, k := range order {
-		out = append(out, seen[k])
 	}
 	return out
 }

@@ -15,10 +15,10 @@ import (
 // synchronization — same plan, same bucket schedule, bit-identical
 // weights — and reports executed dp wire volume (equal by construction)
 // next to the exposed synchronization time (overlap's win). The second
-// table is the simulator's schedule-derived overlap model for the paper
-// scenario: per stage, DP-sync communication vs the backward-compute
-// hide window, exposed = max(0, comm − hide) — the quantity the old
-// scalar could not express.
+// table is the simulator's overlap prediction for the paper scenario,
+// read off its solved iteration graph: per stage, the DP task's
+// duration, its backward-compute hide window and its exposed tail — the
+// quantity the old scalar could not express.
 type OverlapResult struct {
 	exec table
 	pred table
@@ -45,7 +45,7 @@ func OverlapExperiment(o Options) (*OverlapResult, error) {
 		pred: table{
 			title: "Simulator overlap model (GPT-2.5B paper scenario, per stage)",
 			cols:  []string{"stage", "buckets", "comm (s)", "hide (s)", "exposed (s)"},
-			notes: []string{"exposed = max(0, comm − remaining backward compute), from the compiled bucket schedule"},
+			notes: []string{"hide = last backward finish − DP start; exposed = max(0, DP finish − last backward finish), from the solved iteration graph"},
 		},
 	}
 

@@ -16,14 +16,13 @@ import (
 
 // autotunedGolden mirrors the hand-picked Table-2 shape the search
 // rediscovers: CB on with powersgd rank 16, §7 DP compression on 3 of
-// 4 stages at rank 128, fused §6 embedding sync, and a bucket budget
-// small enough to split every stage into several buckets.
+// 4 stages at rank 128, fused §6 embedding sync — compiled at a bucket
+// budget small enough to split every stage into several buckets.
 func autotunedGolden() (autotune.Candidate, plan.Grid) {
 	c := autotune.Candidate{
 		CB: true, CBFamily: "powersgd", CBRank: 16,
 		DPStages: 3, DPFamily: "powersgd", DPRank: 128,
 		FuseEmbedding: true,
-		BucketBytes:   4096,
 	}.Normalize()
 	g := plan.Grid{
 		Stages: 4, DPGroups: 2, MicroBatches: 4,
@@ -34,7 +33,7 @@ func autotunedGolden() (autotune.Candidate, plan.Grid) {
 			{2048, 2048, 1024},
 			{512},
 		},
-		BucketBytes: c.BucketBytes,
+		BucketBytes: 4096,
 	}
 	return c, g
 }

@@ -55,16 +55,16 @@ type Estimate struct {
 	// iteration (PredictInterStageFromPlan over the candidate's plan).
 	PPBytesPerReplica int64 `json:"pp_bytes_per_replica"`
 	// DPBytes is the aggregate DP-sync ring volume per iteration across
-	// all stages (Thakur closed forms on the stage shards; the
-	// per-channel bucket-resolved prediction for executed runs is
+	// all stages (dpRingBytes on the stage shards; the per-channel
+	// bucket-resolved prediction for executed runs is
 	// PredictDPBucketBytes, which the trainer-scale crosschecks pin).
 	DPBytes int64 `json:"dp_bytes"`
 	// EmbBytes is the aggregate §6 embedding-sync volume per iteration.
 	EmbBytes int64 `json:"emb_bytes"`
 	// Buckets is the compiled plan's per-stage DP-sync bucket count
-	// (nil when the grid carries no gradient sizes). The analytic cost
-	// model prices DP sync from total volume, so the bucket budget is
-	// cost-neutral here — searches must tie-break on it explicitly.
+	// (nil when the grid carries no gradient sizes). It is reported, not
+	// priced: each stage's DP sync is one task whatever the budget, which
+	// is why the autotuner does not search the budget.
 	// Shared when an Estimate comes out of the what-if cache: read-only.
 	Buckets []int `json:"buckets,omitempty"`
 }
@@ -132,26 +132,10 @@ func (ev *Evaluator) Price(cfg core.Config, bucketBytes int64) (Estimate, error)
 
 	est.PPBytesPerReplica = PredictInterStageFromPlan(pl, d.boundaryBytes, d.cmpBoundaryBytes).Bytes
 	D := int64(s.Map.DP)
-	if D > 1 {
-		for st := 0; st < s.Map.PP; st++ {
-			if pl.DPCompressed(st) {
-				est.DPBytes += (D - 1) * D * d.dpWireBytes[st]
-			} else {
-				est.DPBytes += 2 * d.dpShardBytes[st] * (D - 1)
-			}
-		}
+	for st := 0; st < s.Map.PP; st++ {
+		est.DPBytes += dpRingBytes(pl.DPCompressed(st), D, d.dpShardBytes[st], d.dpWireBytes[st])
 	}
-	switch pl.Embedding() {
-	case plan.EmbDPOnly:
-		est.EmbBytes = 2 * d.embBytes * (D - 1)
-	case plan.EmbFused:
-		est.EmbBytes = 2 * d.embBytes * (2*D - 1)
-	case plan.EmbTwoPhase:
-		if D > 1 {
-			est.EmbBytes += 2 * 2 * d.embBytes * (D - 1)
-		}
-		est.EmbBytes += D * 2 * d.embBytes
-	}
+	est.EmbBytes = embSyncBytes(pl.Embedding(), d.embBytes, D)
 	if pl.HasBuckets() {
 		est.Buckets = make([]int, s.Map.PP)
 		for st := range est.Buckets {

@@ -189,7 +189,7 @@ func wantPPDense(t *testing.T, base Scenario) int64 {
 func TestEvaluatorBucketSweepCostNeutral(t *testing.T) {
 	// The analytic model prices DP sync from total volume, so the bucket
 	// budget must change the compiled bucket counts but not the cost —
-	// the property the search's deterministic tie-break relies on.
+	// the reason the autotuner does not search the budget.
 	base := PaperScenario(cluster.GPT25B, core.Baseline())
 	ev, err := NewEvaluator(base)
 	if err != nil {

@@ -1,45 +1,34 @@
 package sim
 
-import (
-	"fmt"
+import "repro/internal/simnet"
 
-	"repro/internal/plan"
-	"repro/internal/simnet"
-)
-
-// Overlap model for bucketed DP synchronization. The trainer issues each
-// stage's gradient buckets as soon as that stage's gradients are final —
-// while stages closer to the pipeline input are still inside the
-// backward pass — so a stage's DP communication is hidden by exactly the
-// backward compute that remains after its own last backward. The model
-// here derives that from the compiled bucket schedule and the 1F1B
-// structure instead of assuming a scalar overlap factor: for stage s,
-//
-//	exposed(s) = max(0, comm(s) − Σ_{j<s} bwd(j))
-//
-// because after stage s's final backward, the last micro-batch's
-// backward wave still has to traverse stages s−1 … 0 in sequence (the
-// chain the DAG's critical path ends on). This is the quantity the
-// per-class scalar SteadyOverlap could never express for DP-sync — it is
-// now computed, per stage and per link class, from the same plan the
-// executable trainer runs.
+// DP-sync overlap, read off the solved iteration graph. Each stage's DP
+// task starts after that stage's last backward and runs on the stage's
+// own NIC beside the backward compute still left on earlier stages —
+// the 1F1B drain, which the graph lays out micro-batch by micro-batch —
+// mirroring how the executable trainer hides its bucketed all-reduces
+// under the backward pass. What the DP task does not finish before the
+// iteration's last backward is exposed. Reading the window off the graph
+// Simulate and the Evaluator price keeps one DP model, so the exposure
+// reported here is Simulate's DP breakdown component.
 
 // StageOverlap is one stage's DP-sync overlap prediction.
 type StageOverlap struct {
 	Stage int
 	// Buckets is the stage's bucket count in the compiled schedule.
 	Buckets int
-	// CommSec is the stage's total DP-sync time (collective overhead,
-	// wire time over the bucketed volume, codec where §7 compresses).
+	// CommSec is the duration of the stage's DP task (collective
+	// overhead, wire time over the stage's volume, codec where §7
+	// compresses).
 	CommSec float64
-	// HideSec is the backward compute remaining after the stage's last
-	// backward — the window the communication can hide under.
+	// HideSec is the window the communication can hide under: the
+	// iteration's last backward finish minus the DP task's start.
 	HideSec float64
-	// ExposedSec = max(0, CommSec − HideSec).
+	// ExposedSec = max(0, DP finish − last backward finish).
 	ExposedSec float64
 }
 
-// DPOverlap is the schedule-derived DP-sync overlap prediction for one
+// DPOverlap is the graph-derived DP-sync overlap prediction for one
 // scenario.
 type DPOverlap struct {
 	Stages []StageOverlap
@@ -53,74 +42,44 @@ type DPOverlap struct {
 	EmbExposedSec float64
 }
 
-// PredictDPOverlap computes the bucketed DP-sync overlap model for s.
+// PredictDPOverlap builds and solves s's iteration graph and reads the
+// DP-sync overlap off it.
 func PredictDPOverlap(s Scenario) (DPOverlap, error) {
-	if err := s.Validate(); err != nil {
+	it, err := buildIteration(s, nil)
+	if err != nil {
+		return DPOverlap{}, err
+	}
+	if _, err := it.g.Solve(); err != nil {
 		return DPOverlap{}, err
 	}
 	pl, err := s.Plan()
 	if err != nil {
 		return DPOverlap{}, err
 	}
-	d := computeDurations(s, pl)
 	var out DPOverlap
-	var hide float64 // Σ bwd of stages before this one, built ascending
-	for st := 0; st < s.Map.PP; st++ {
+	var lastBwd float64
+	dp := make([]*simnet.Task, s.Map.PP)
+	for i, t := range it.g.Tasks() {
+		switch m := it.meta[i]; m.kind {
+		case taskBwd:
+			lastBwd = max(lastBwd, t.Finish())
+		case taskDP:
+			dp[m.stage] = t
+		case taskEmb:
+			out.EmbExposedSec += t.Duration
+		}
+	}
+	for st, t := range dp {
 		so := StageOverlap{
 			Stage:      st,
 			Buckets:    pl.BucketCount(st),
-			CommSec:    d.dp[st],
-			HideSec:    hide,
-			ExposedSec: simnet.ExposedCommTime(d.dp[st], hide),
+			CommSec:    t.Duration,
+			HideSec:    lastBwd - t.Start(),
+			ExposedSec: max(0, t.Finish()-lastBwd),
 		}
 		out.Stages = append(out.Stages, so)
 		out.CommSec += so.CommSec
-		if so.ExposedSec > out.ExposedSec {
-			out.ExposedSec = so.ExposedSec
-		}
-		hide += d.bwd[st]
-	}
-	for _, phase := range d.embPhase {
-		out.EmbExposedSec += phase
-	}
-	return out, nil
-}
-
-// PredictDPBucketBytes prices the aggregate executed wire volume of one
-// bucketed DP synchronization from a compiled plan: per (stage, bucket),
-// the bytes the collective runtime's ring moves summed over every
-// member's sends. A dense channel of V bytes costs 2·V·(D−1) in
-// aggregate (reduce-scatter + all-gather, Thakur); a channel the §7
-// selection compresses ships each rank's payload D−1 hops around the
-// ring, (D−1)·D·w aggregate for a shape-determined payload of w bytes.
-//
-// payloadBytes reports channel (stage, ch)'s compressed payload size, or
-// 0 where the channel stays dense (incompressible shapes — vectors —
-// remain dense even on compressed stages, which only the caller, who
-// knows the shapes, can decide). The result reconciles exactly with the
-// trainer's ExecutedDPBuckets, which the crosscheck tests pin.
-func PredictDPBucketBytes(p *plan.Plan, payloadBytes func(stage, ch int) int64) ([][]int64, error) {
-	if !p.HasBuckets() {
-		return nil, fmt.Errorf("sim: plan carries no bucket schedule")
-	}
-	g := p.Grid()
-	d := int64(g.DPGroups)
-	out := make([][]int64, g.Stages)
-	for st := 0; st < g.Stages; st++ {
-		sizes := g.StageGradBytes[st]
-		buckets := p.Buckets(st)
-		out[st] = make([]int64, len(buckets))
-		for bi, b := range buckets {
-			var wire int64
-			for _, ch := range b.Channels {
-				if w := payloadBytes(st, ch); p.DPCompressed(st) && w > 0 {
-					wire += (d - 1) * d * w
-				} else {
-					wire += 2 * sizes[ch] * (d - 1)
-				}
-			}
-			out[st][bi] = wire
-		}
+		out.ExposedSec = max(out.ExposedSec, so.ExposedSec)
 	}
 	return out, nil
 }

@@ -1,78 +1,70 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/plan"
-	"repro/internal/simnet"
 )
 
-// TestPredictDPOverlapStructure pins the schedule-derived overlap model:
-// the hide window grows with the stage index (later stages finish their
-// last backward with more of the wave still to run — in backward order,
-// stage 0 runs last), exposed = max(0, comm − hide) per stage, and the
-// iteration-level exposure is the per-stage maximum.
-func TestPredictDPOverlapStructure(t *testing.T) {
-	sc := PaperScenario(cluster.GPT25B, core.Baseline())
-	ov, err := PredictDPOverlap(sc)
-	if err != nil {
-		t.Fatal(err)
+// TestDPOverlapReadsSolvedGraph pins PredictDPOverlap as a read of the
+// graph Simulate prices, over both paper models × the evaluator's
+// mappings × the core presets: stage 0's DP task starts at the
+// iteration's last backward, so it has no window to hide under; each
+// stage's comm is its DP task's duration; and the iteration-level
+// exposure is Simulate's DP breakdown component.
+func TestDPOverlapReadsSolvedGraph(t *testing.T) {
+	presets := map[string]core.Config{
+		"baseline": core.Baseline(),
+		"cb":       core.CB(),
+		"cbfe":     core.CBFE(),
+		"cbfesc":   core.CBFESC(),
+		"naivedp":  core.NaiveDP(),
+		"naivecb":  core.NaiveCB(),
 	}
-	if len(ov.Stages) != sc.Map.PP {
-		t.Fatalf("%d stage rows, want %d", len(ov.Stages), sc.Map.PP)
-	}
-	var maxExposed, commSum float64
-	for i, so := range ov.Stages {
-		if so.Buckets < 1 {
-			t.Fatalf("stage %d has no buckets", i)
+	for _, spec := range []cluster.GPTSpec{cluster.GPT25B, cluster.GPT83B} {
+		for _, mp := range []cluster.Mapping{{TP: 8, DP: 4, PP: 4}, {TP: 8, DP: 1, PP: 4}, {TP: 8, DP: 4, PP: 1}} {
+			for name, cfg := range presets {
+				at := fmt.Sprintf("%s %s %s", spec.Name, mp, name)
+				s := PaperScenario(spec, cfg)
+				s.Map = mp
+				ov, err := PredictDPOverlap(s)
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				it, err := buildIteration(s, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				dpDur := make([]float64, mp.PP)
+				for i, task := range it.g.Tasks() {
+					if m := it.meta[i]; m.kind == taskDP {
+						dpDur[m.stage] = task.Duration
+					}
+				}
+				if len(ov.Stages) != mp.PP {
+					t.Fatalf("%s: %d stage rows, want %d", at, len(ov.Stages), mp.PP)
+				}
+				if h := ov.Stages[0].HideSec; h != 0 {
+					t.Errorf("%s: stage 0 hide window %v, want 0", at, h)
+				}
+				for st, so := range ov.Stages {
+					if so.CommSec != dpDur[st] {
+						t.Errorf("%s: stage %d comm %v, DP task duration %v", at, st, so.CommSec, dpDur[st])
+					}
+				}
+				res, err := Simulate(s)
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				if d := math.Abs(ov.ExposedSec - res.Exposed[LabelDP]); d > 1e-12 {
+					t.Errorf("%s: exposed %v, Simulate's DP component %v (Δ %g)", at, ov.ExposedSec, res.Exposed[LabelDP], d)
+				}
+			}
 		}
-		if so.CommSec <= 0 {
-			t.Fatalf("stage %d non-positive comm %v", i, so.CommSec)
-		}
-		if i == 0 && so.HideSec != 0 {
-			t.Fatalf("stage 0 hide window %v, want 0 (nothing runs after its last backward)", so.HideSec)
-		}
-		if i > 0 && so.HideSec <= ov.Stages[i-1].HideSec {
-			t.Fatalf("hide window not increasing: stage %d %v <= stage %d %v",
-				i, so.HideSec, i-1, ov.Stages[i-1].HideSec)
-		}
-		if want := simnet.ExposedCommTime(so.CommSec, so.HideSec); so.ExposedSec != want {
-			t.Fatalf("stage %d exposed %v, want max(0, comm−hide) = %v", i, so.ExposedSec, want)
-		}
-		if so.ExposedSec > maxExposed {
-			maxExposed = so.ExposedSec
-		}
-		commSum += so.CommSec
-	}
-	if ov.ExposedSec != maxExposed || ov.CommSec != commSum {
-		t.Fatalf("totals (%v, %v) disagree with rows (%v, %v)",
-			ov.CommSec, ov.ExposedSec, commSum, maxExposed)
-	}
-	// Stage 0's DP sync has no backward left to hide under: fully exposed.
-	if s0 := ov.Stages[0]; s0.ExposedSec != s0.CommSec {
-		t.Fatalf("stage 0 exposed %v != comm %v", s0.ExposedSec, s0.CommSec)
-	}
-	if ov.EmbExposedSec <= 0 {
-		t.Fatal("embedding phase predicted free")
-	}
-	// Overlap can only help: exposure never exceeds total comm.
-	if ov.ExposedSec > ov.CommSec {
-		t.Fatal("exposure exceeds total communication")
-	}
-}
-
-// TestExposedCommTime pins the simnet helper.
-func TestExposedCommTime(t *testing.T) {
-	if got := simnet.ExposedCommTime(3, 1); got != 2 {
-		t.Fatalf("ExposedCommTime(3,1) = %v", got)
-	}
-	if got := simnet.ExposedCommTime(1, 3); got != 0 {
-		t.Fatalf("ExposedCommTime(1,3) = %v", got)
-	}
-	if got := simnet.ExposedCommTime(2, 2); got != 0 {
-		t.Fatalf("ExposedCommTime(2,2) = %v", got)
 	}
 }
 
@@ -107,57 +99,5 @@ func TestScenarioPlanCarriesBuckets(t *testing.T) {
 		if got, want := pl.BucketCount(st), sc.LayersPerStage(); got != want {
 			t.Fatalf("stage %d bucket count %d, want %d", st, got, want)
 		}
-	}
-}
-
-// TestPredictDPBucketBytesFormula pins the volume formulas on a small
-// hand-checked plan.
-func TestPredictDPBucketBytesFormula(t *testing.T) {
-	cfg := core.Baseline()
-	p := plan.MustCompile(cfg, plan.Grid{
-		Stages: 1, DPGroups: 4, MicroBatches: 2,
-		StageGradBytes: [][]int64{{100, 300}},
-		BucketBytes:    1000,
-	})
-	vols, err := PredictDPBucketBytes(p, func(int, int) int64 { return 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One bucket of 400 B dense across D=4: 2·400·3 = 2400 aggregate.
-	if len(vols) != 1 || len(vols[0]) != 1 || vols[0][0] != 2400 {
-		t.Fatalf("dense bucket volume %v, want [[2400]]", vols)
-	}
-
-	// Compressed stage: payload of 50 B per rank → (D−1)·D·50 per channel.
-	ccfg := core.CBFESC()
-	ccfg.CBRank = 2
-	ccfg.DPRank = 2
-	ccfg.SelectiveStageFraction = 1 // compress every stage
-	cp := plan.MustCompile(ccfg, plan.Grid{
-		Stages: 1, DPGroups: 4, MicroBatches: 2,
-		BoundaryRows: 8, BoundaryCols: 8,
-		StageGradBytes: [][]int64{{100, 300}},
-		BucketBytes:    1000,
-	})
-	if !cp.DPCompressed(0) {
-		t.Fatal("stage 0 not selected for DP compression")
-	}
-	vols, err = PredictDPBucketBytes(cp, func(st, ch int) int64 {
-		if ch == 1 {
-			return 50
-		}
-		return 0 // channel 0 incompressible → dense
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(3*4*50 + 2*100*3) // compressed ch 1 + dense ch 0
-	if vols[0][0] != want {
-		t.Fatalf("mixed bucket volume %d, want %d", vols[0][0], want)
-	}
-
-	bare := plan.MustCompile(cfg, plan.Grid{Stages: 1, DPGroups: 2, MicroBatches: 1})
-	if _, err := PredictDPBucketBytes(bare, func(int, int) int64 { return 0 }); err == nil {
-		t.Fatal("plan without a bucket schedule accepted")
 	}
 }

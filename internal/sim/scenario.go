@@ -55,8 +55,7 @@ type CommParams struct {
 	// that stage's last backward and runs beside the backward compute
 	// still left on earlier stages, mirroring how the executable trainer
 	// hides bucketed all-reduces under the backward pass.
-	// PredictDPOverlap reports the same window in closed form (exposed
-	// comm = max(0, comm − remaining backward compute)).
+	// PredictDPOverlap reads that window off the solved graph.
 	SteadyOverlap float64
 }
 

@@ -161,3 +161,126 @@ func TestScenarioPlanCompiles(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictDPBucketBytesFormula pins the volume formulas on a small
+// hand-checked plan.
+func TestPredictDPBucketBytesFormula(t *testing.T) {
+	cfg := core.Baseline()
+	p := plan.MustCompile(cfg, plan.Grid{
+		Stages: 1, DPGroups: 4, MicroBatches: 2,
+		StageGradBytes: [][]int64{{100, 300}},
+		BucketBytes:    1000,
+	})
+	vols, err := PredictDPBucketBytes(p, func(int, int) int64 { return 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One bucket of 400 B dense across D=4: 2·400·3 = 2400 aggregate.
+	if len(vols) != 1 || len(vols[0]) != 1 || vols[0][0] != 2400 {
+		t.Fatalf("dense bucket volume %v, want [[2400]]", vols)
+	}
+
+	// Compressed stage: payload of 50 B per rank → (D−1)·D·50 per channel.
+	ccfg := core.CBFESC()
+	ccfg.CBRank = 2
+	ccfg.DPRank = 2
+	ccfg.SelectiveStageFraction = 1 // compress every stage
+	cp := plan.MustCompile(ccfg, plan.Grid{
+		Stages: 1, DPGroups: 4, MicroBatches: 2,
+		BoundaryRows: 8, BoundaryCols: 8,
+		StageGradBytes: [][]int64{{100, 300}},
+		BucketBytes:    1000,
+	})
+	if !cp.DPCompressed(0) {
+		t.Fatal("stage 0 not selected for DP compression")
+	}
+	vols, err = PredictDPBucketBytes(cp, func(st, ch int) int64 {
+		if ch == 1 {
+			return 50
+		}
+		return 0 // channel 0 incompressible → dense
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(3*4*50 + 2*100*3) // compressed ch 1 + dense ch 0
+	if vols[0][0] != want {
+		t.Fatalf("mixed bucket volume %d, want %d", vols[0][0], want)
+	}
+
+	bare := plan.MustCompile(cfg, plan.Grid{Stages: 1, DPGroups: 2, MicroBatches: 1})
+	if _, err := PredictDPBucketBytes(bare, func(int, int) int64 { return 0 }); err == nil {
+		t.Fatal("plan without a bucket schedule accepted")
+	}
+}
+
+// executionGrid is a four-stage, two-replica grid with one
+// zero-size (§6 embedding) channel per stage.
+func executionGrid() plan.Grid {
+	sizes := make([][]int64, 4)
+	for s := range sizes {
+		sizes[s] = []int64{4096, 4096, 0, 512}
+	}
+	return plan.Grid{
+		Stages: 4, DPGroups: 2, MicroBatches: 4,
+		BoundaryRows: 64, BoundaryCols: 32,
+		StageGradBytes: sizes,
+	}
+}
+
+// TestPredictExecutionClosedForms pins PredictExecution to the
+// per-class closed forms over hand-set probe sizes.
+func TestPredictExecutionClosedForms(t *testing.T) {
+	cfg := core.CBFESC()
+	pl, err := plan.Compile(cfg, executionGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := Probes{
+		DenseBoundaryBytes: 4096,
+		CBWireBytes:        768,
+		DPPayloadBytes: func(stage, ch int) int64 {
+			if pl.DPCompressed(stage) && ch != 2 {
+				return 100
+			}
+			return 0
+		},
+		EmbTableBytes: 5000,
+	}
+	pred := PredictExecution(pl, probes)
+	wantPP := PredictInterStageFromPlan(pl, 4096, 768).Bytes * 2
+	if pred.PPBytes != wantPP {
+		t.Fatalf("PP bytes %d want %d", pred.PPBytes, wantPP)
+	}
+	wantBuckets, err := PredictDPBucketBytes(pl, probes.DPPayloadBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantDP int64
+	for s, row := range wantBuckets {
+		for b, v := range row {
+			if pred.DPBuckets[s][b] != v {
+				t.Fatalf("bucket (%d,%d) %d want %d", s, b, pred.DPBuckets[s][b], v)
+			}
+			wantDP += v
+		}
+	}
+	if pred.DPBytes != wantDP {
+		t.Fatalf("DP bytes %d want %d", pred.DPBytes, wantDP)
+	}
+	// D=2, fused: 2·v·(2D−1) = 2·5000·3.
+	if want := int64(2 * 5000 * 3); pred.EmbBytes != want {
+		t.Fatalf("emb bytes %d want %d (strategy %s)", pred.EmbBytes, want, pl.Embedding())
+	}
+
+	// Two-phase: 4v(D−1) + 2vD = 4·5000·1 + 2·5000·2.
+	cfg2 := core.CBFESC()
+	cfg2.FuseEmbedding = false
+	pl2, err := plan.Compile(cfg2, executionGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := PredictExecution(pl2, probes).EmbBytes, int64(4*5000+2*5000*2); got != want {
+		t.Fatalf("two-phase emb bytes %d want %d", got, want)
+	}
+}

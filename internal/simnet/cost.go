@@ -75,19 +75,6 @@ func (l Link) TimeForVolume(bytes int64, steps int) float64 {
 	return float64(steps)*l.LatencySec + float64(bytes*8)/l.BandwidthBps
 }
 
-// ExposedCommTime returns the part of a communication phase's latency
-// that remains on the critical path when hideSec seconds of independent
-// compute are available to overlap it with: max(0, comm − hide). This is
-// the overlap model the DP-sync prediction is built from — exposed
-// communication is whatever the remaining backward compute cannot cover,
-// derived from the schedule rather than assumed by a scalar.
-func ExposedCommTime(commSec, hideSec float64) float64 {
-	if commSec <= hideSec {
-		return 0
-	}
-	return commSec - hideSec
-}
-
 // EmbSyncBaselineTime returns the §6 baseline embedding cost C_Emb =
 // V·(3D−2)/D over the link: a D-way all-reduce (data parallel) followed by
 // a 2-way all-reduce (first↔last stage), per Eq. 15.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/collective"
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/sim"
 )
 
@@ -56,17 +57,6 @@ func scaledWinner(c autotune.Candidate) autotune.Candidate {
 	return c
 }
 
-// trainerProbes assembles the autotuner's executed-scale probe set from
-// the trainer's exported accessors.
-func trainerProbes(tr *Trainer) autotune.Probes {
-	return autotune.Probes{
-		DenseBoundaryBytes: tr.DenseBoundaryBytes(),
-		CBWireBytes:        tr.ProbeCBWireBytes(),
-		DPPayloadBytes:     tr.ProbeDPPayloadBytes,
-		EmbTableBytes:      tr.EmbTableBytes(),
-	}
-}
-
 func TestAutotuneWinnerExecutesAsPredicted(t *testing.T) {
 	c := testCorpus(t)
 	for _, g := range autotuneGrids {
@@ -114,18 +104,7 @@ func TestAutotuneWinnerExecutesAsPredicted(t *testing.T) {
 			tr.TrainIteration()
 		}
 
-		pred, err := autotune.PredictExecution(tr.Plan(), trainerProbes(tr))
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// The autotuner's prediction and the trainer's own reconciliation
-		// predictions are the same accounting — identical numbers.
-		if tr.PredictedPPBytes() != pred.PPBytes || tr.PredictedDPBytes() != pred.DPBytes || tr.PredictedEmbBytes() != pred.EmbBytes {
-			t.Errorf("dp%d×pp%d: tuner predicts pp=%d dp=%d emb=%d, trainer predicts pp=%d dp=%d emb=%d",
-				g.dp, g.pp, pred.PPBytes, pred.DPBytes, pred.EmbBytes,
-				tr.PredictedPPBytes(), tr.PredictedDPBytes(), tr.PredictedEmbBytes())
-		}
+		pred := sim.PredictExecution(tr.Plan(), tr.Probes())
 
 		// Executed wire volumes == prediction, tolerance zero.
 		after, _ := tr.CollectiveStats()
@@ -170,11 +149,11 @@ func TestAutotuneWinnerExecutesAsPredicted(t *testing.T) {
 	}
 }
 
-// TestTrainerProbesMatchReconcilerForPresets pins the exported probe
-// accessors against the unexported reconciliation path across the
-// compression presets: autotune.PredictExecution over trainer probes
-// must reproduce the trainer's own per-iteration predictions for every
-// preset, not just the search winner.
+// TestTrainerProbesMatchReconcilerForPresets pins the trainer's probes
+// to its executed traffic across the compression presets, not just the
+// search winner: one iteration moves exactly the Predicted*Bytes that
+// sim.PredictExecution prices over tr.Probes() — the accounting the
+// trace reconciliation reports.
 func TestTrainerProbesMatchReconcilerForPresets(t *testing.T) {
 	c := testCorpus(t)
 	for name, opt := range overlapOpts() {
@@ -184,15 +163,62 @@ func TestTrainerProbesMatchReconcilerForPresets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred, err := autotune.PredictExecution(tr.Plan(), trainerProbes(tr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pred.PPBytes != tr.PredictedPPBytes() || pred.DPBytes != tr.PredictedDPBytes() || pred.EmbBytes != tr.PredictedEmbBytes() {
-			t.Errorf("%s: tuner pp=%d dp=%d emb=%d, trainer pp=%d dp=%d emb=%d",
-				name, pred.PPBytes, pred.DPBytes, pred.EmbBytes,
-				tr.PredictedPPBytes(), tr.PredictedDPBytes(), tr.PredictedEmbBytes())
+		before, _ := tr.CollectiveStats()
+		tr.TrainIteration()
+		after, _ := tr.CollectiveStats()
+		d := after.Sub(before)
+		for _, chk := range []struct {
+			class collective.Class
+			want  int64
+		}{
+			{collective.ClassPP, tr.PredictedPPBytes()},
+			{collective.ClassDP, tr.PredictedDPBytes()},
+			{collective.ClassEmb, tr.PredictedEmbBytes()},
+		} {
+			if got := d.For(chk.class).Bytes; got != chk.want {
+				t.Errorf("%s: executed %v bytes %d, predicted %d", name, chk.class, got, chk.want)
+			}
 		}
 		tr.Close()
+	}
+}
+
+// TestPredictedBytesIndependentOfEngine pins the predictions to the plan
+// and the model's shapes alone: a reference trainer, which has no
+// collective runtime, reports the same Predicted*Bytes as a pipelined
+// one built from the same config, under every §6 embedding strategy.
+func TestPredictedBytesIndependentOfEngine(t *testing.T) {
+	c := testCorpus(t)
+	twoPhase := scaledCB()
+	fused := scaledCB()
+	fused.FuseEmbedding = true
+	for _, tc := range []struct {
+		name   string
+		opt    core.Config
+		dp, pp int
+		want   plan.EmbeddingStrategy
+	}{
+		{"1x1", core.Baseline(), 1, 1, plan.EmbNone},
+		{"dp-only", core.Baseline(), 2, 1, plan.EmbDPOnly},
+		{"two-phase", twoPhase, 2, 2, plan.EmbTwoPhase},
+		{"fused", fused, 2, 2, plan.EmbFused},
+	} {
+		var got [2][3]int64
+		for i, eng := range []Engine{EnginePipelined, EngineReference} {
+			cfg := gridConfig(tc.opt, tc.dp, tc.pp, 4)
+			cfg.Engine = eng
+			tr, err := New(cfg, c)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if s := tr.Plan().Embedding(); s != tc.want {
+				t.Fatalf("%s: embedding strategy %s, want %s", tc.name, s, tc.want)
+			}
+			got[i] = [3]int64{tr.PredictedPPBytes(), tr.PredictedDPBytes(), tr.PredictedEmbBytes()}
+			tr.Close()
+		}
+		if got[0] != got[1] {
+			t.Errorf("%s: pipelined predicts pp/dp/emb %v, reference %v", tc.name, got[0], got[1])
+		}
 	}
 }

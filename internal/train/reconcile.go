@@ -6,11 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/collective"
-	"repro/internal/compress"
 	"repro/internal/obs"
-	"repro/internal/plan"
-	"repro/internal/sim"
-	"repro/internal/tensor"
 )
 
 // Executed-vs-predicted reconciliation: the executed-run trace, the
@@ -154,9 +150,10 @@ func (t *Trainer) ReconcileTrace() (*TraceReport, error) {
 			rep.DrainNs, rep.ExposedNs, rep.DrainNs-rep.ExposedNs)
 	}
 
-	rep.Links[obs.LinkPP].PredictedBytes = t.predictPPBytes() * int64(t.iter)
-	rep.Links[obs.LinkDP].PredictedBytes = t.predictDPBytes() * int64(t.iter)
-	rep.Links[obs.LinkEmb].PredictedBytes = t.predictEmbBytes() * int64(t.iter)
+	pred := t.predicted()
+	rep.Links[obs.LinkPP].PredictedBytes = pred.PPBytes * int64(t.iter)
+	rep.Links[obs.LinkDP].PredictedBytes = pred.DPBytes * int64(t.iter)
+	rep.Links[obs.LinkEmb].PredictedBytes = pred.EmbBytes * int64(t.iter)
 
 	if rep.WindowNs > 0 && rep.Ranks > 0 {
 		rep.BubbleFrac = 1 - float64(rep.BusyNs)/(float64(rep.WindowNs)*float64(rep.Ranks))
@@ -164,93 +161,6 @@ func (t *Trainer) ReconcileTrace() (*TraceReport, error) {
 	p, m := t.cfg.Stages, t.cfg.MicroBatches
 	rep.IdealBubbleFrac = float64(p-1) / float64(m+p-1)
 	return rep, nil
-}
-
-// predictPPBytes prices one iteration's pipeline-parallel traffic from
-// the compiled plan — the per-replica inter-stage prediction times the
-// replica count.
-func (t *Trainer) predictPPBytes() int64 {
-	dense := int64(t.cfg.MicroBatch*t.cfg.Model.Hidden) * compress.ElemBytes
-	return sim.PredictInterStageFromPlan(t.plan, dense, t.probeCBWireBytes()).Bytes * int64(t.cfg.DPGroups)
-}
-
-// predictDPBytes prices one iteration's data-parallel sync traffic from
-// the plan's bucket schedule (zero when no DP sync runs).
-func (t *Trainer) predictDPBytes() int64 {
-	if t.cfg.DPGroups <= 1 {
-		return 0
-	}
-	buckets, err := sim.PredictDPBucketBytes(t.plan, t.probeDPPayloadBytes)
-	if err != nil {
-		return 0 // no bucket schedule compiled (never the case for trainer plans)
-	}
-	var total int64
-	for _, row := range buckets {
-		for _, b := range row {
-			total += b
-		}
-	}
-	return total
-}
-
-// predictEmbBytes prices one iteration's §6 embedding synchronization:
-// a dense R-way ring all-reduce of a V-byte buffer moves 2·V·(R−1)
-// aggregate, whatever the chunking (each of the 2(R−1) rounds moves V
-// in total across the ring).
-func (t *Trainer) predictEmbBytes() int64 {
-	v := t.replicas[0][0].EmbeddingGrad().SizeBytes(compress.ElemBytes)
-	d := int64(t.cfg.DPGroups)
-	switch t.plan.Embedding() {
-	case plan.EmbDPOnly, plan.EmbFused:
-		r := int64(len(t.coll.topo.EmbGroup()))
-		return 2 * v * (r - 1)
-	case plan.EmbTwoPhase:
-		var total int64
-		if d > 1 {
-			total += 2 * 2 * v * (d - 1) // phase 1: one D-way average per side
-		}
-		total += d * 2 * v // phase 2: D pairwise 2-way sums, 2V each
-		return total
-	}
-	return 0 // EmbNone: single rank, in-place update
-}
-
-// probeCBWireBytes measures the wire size of one compressed backward
-// payload on a compressor built from the plan's boundary spec (payload
-// sizes are shape-determined, so one probe prices every send). Zero
-// when backprop compression is off or there is no boundary.
-func (t *Trainer) probeCBWireBytes() int64 {
-	if !t.cfg.Opt.CompressBackprop || t.cfg.Stages < 2 {
-		return 0
-	}
-	probe := tensor.New(t.cfg.MicroBatch, t.cfg.Model.Hidden)
-	for i := range probe.Data {
-		probe.Data[i] = float64(i%13) / 13
-	}
-	c, err := compress.Build(t.plan.CBSpec(0, 1))
-	if err != nil {
-		return 0 // unreachable: the spec was validated by plan.Compile
-	}
-	return c.Compress(probe).WireBytes()
-}
-
-// probeDPPayloadBytes measures the compressed payload size of gradient
-// channel (s, gi), or 0 where the channel stays dense — the callback
-// sim.PredictDPBucketBytes prices compressed channels with.
-func (t *Trainer) probeDPPayloadBytes(s, gi int) int64 {
-	g := t.grads[0][s][gi]
-	if !t.plan.DPCompressed(s) || !compressibleShape(g) {
-		return 0
-	}
-	probe := tensor.New(g.Rows, g.Cols)
-	for i := range probe.Data {
-		probe.Data[i] = float64(i%7) / 7
-	}
-	c, err := compress.Build(t.plan.DPSpec(s, 0, gi))
-	if err != nil {
-		return 0 // unreachable: the spec was validated by plan.Compile
-	}
-	return c.Compress(probe).WireBytes()
 }
 
 // TraceCapacityFor returns a per-track ring capacity that a run of

@@ -448,12 +448,11 @@ func TestAutotuneThroughHandle(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := autotune.Space{
-		Stages:        4,
-		CBFamilies:    []string{"powersgd"},
-		CBRanks:       []int{4, 16},
-		DPFamilies:    []string{"powersgd"},
-		DPRanks:       []int{128},
-		BucketBudgets: []int64{0, 4 << 20},
+		Stages:     4,
+		CBFamilies: []string{"powersgd"},
+		CBRanks:    []int{4, 16},
+		DPFamilies: []string{"powersgd"},
+		DPRanks:    []int{128},
 	}
 	qm := autotune.DefaultQualityModel()
 	opts := autotune.Options{Seed: 1, Top: 8}
