@@ -45,8 +45,9 @@
 // MatMulInto, MatMulATInto, MatMulBTInto) bound by one per-output-element
 // contract — terms added in ascending k from +0, each product rounded on
 // its own, the axpy forms skipping a zero a operand — which lets them
-// block for registers while staying bit-identical to the reference triple
-// loops kept in the tests. internal/model's layers compute each
+// block for registers and, on amd64 with AVX, work on four output
+// elements per instruction while staying bit-identical to the reference
+// triple loops kept in the tests. internal/model's layers compute each
 // micro-batch out of a free list their pipeline stage owns (one goroutine
 // drives a stage, so no lock): only the matrices that leave a stage are
 // allocated, and a matrix handed to a stage is only ever borrowed.

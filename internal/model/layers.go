@@ -82,9 +82,6 @@ func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	return dx
 }
 
-// InFlight reports the number of queued forward activations.
-func (l *Linear) InFlight() int { return l.xQueue.len() }
-
 // lnCache is the per-micro-batch forward state of a LayerNorm.
 type lnCache struct {
 	xHat   *tensor.Matrix

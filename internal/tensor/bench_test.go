@@ -12,16 +12,19 @@ import (
 // output), input gradient dy·Wᵀ (MatMulBTInto, an out-term sum per B×in
 // output) — at the shapes the trainer runs: the default model's block
 // (16×48×48), input projection (16×144×48) and tied-embedding head
-// (16×48×32), plus a rank-4 PowerSGD factorisation of a 128×128 matrix
-// (M·Q, Mᵀ·P, P·Qᵀ are the same three roles at 128×128×4). Each reports ns
-// per multiply-add, the number README states against the host's scalar
-// ceiling.
+// (16×48×32), the DP-heavy grid's 4-row micro-batch (4×32×32), a rank-4
+// PowerSGD factorisation of a 128×128 matrix (M·Q, Mᵀ·P, P·Qᵀ are the same
+// three roles at 128×128×4) and a rank-64 one of a 1024×3072 matrix, whose
+// P·Qᵀ is the 1024×64·(3072×64)ᵀ reconstruction. Each reports ns per
+// multiply-add, the number README states per kernel and shape.
 func BenchmarkMatMulKernels(b *testing.B) {
 	shapes := []struct{ batch, in, out int }{
 		{16, 48, 48},
 		{16, 144, 48},
 		{16, 48, 32},
+		{4, 32, 32},
 		{128, 128, 4},
+		{1024, 3072, 64},
 	}
 	kernels := []struct {
 		name string

@@ -91,17 +91,59 @@ func bitDiff(got, want *Matrix) int {
 	return -1
 }
 
-// checkKernels runs every kernel at (n, k, m) on operands from rng and
-// compares with its reference bit for bit. zeroFrac of a's elements become
-// ±0 and specialFrac of b's become ±Inf or NaN, so a zero skip that is
-// missed (0·Inf = NaN enters the sum) or invented shows up. dst starts full
-// of NaN: the kernels must overwrite, not accumulate into, what they find.
+// onEachPath runs f once on the mulAdd4 that init selected (the AVX
+// routine on an amd64 CPU that has it) and once on the portable loop,
+// restoring the selection afterwards, also when f fails the test.
+func onEachPath(f func(path string)) {
+	selected := mulAdd4
+	defer func() { mulAdd4 = selected }()
+	f("selected")
+	mulAdd4 = mulAdd4Go
+	f("portable")
+}
+
+// guardBits fills offsetCopy's backing slice around the matrix: a NaN
+// payload no kernel produces, checked bit for bit.
+var guardBits = math.Float64frombits(0x7ff8_dead_beef_0001)
+
+// offsetCopy returns a copy of m whose data starts off elements into a
+// larger backing slice, so a vector load or store of it is unaligned for
+// an odd off, plus the backing slice.
+func offsetCopy(m *Matrix, off int) (*Matrix, []float64) {
+	backing := make([]float64, off+len(m.Data)+4)
+	for i := range backing {
+		backing[i] = guardBits
+	}
+	v := FromSlice(m.Rows, m.Cols, backing[off:off+len(m.Data)])
+	copy(v.Data, m.Data)
+	return v, backing
+}
+
+// checkGuards fails unless every backing element outside [off, off+n)
+// still holds guardBits: a kernel must not write past its dst.
+func checkGuards(t testing.TB, what string, backing []float64, off, n int) {
+	t.Helper()
+	for i, x := range backing {
+		if (i < off || i >= off+n) && math.Float64bits(x) != math.Float64bits(guardBits) {
+			t.Fatalf("%s wrote backing element %d outside its dst [%d, %d)", what, i, off, off+n)
+		}
+	}
+}
+
+// checkKernels runs every kernel at (n, k, m) on operands from rng, on
+// each mulAdd4 path, and compares with its reference bit for bit. zeroFrac
+// of a's elements become ±0 and specialFrac of b's become ±Inf or NaN, so
+// a zero skip that is missed (0·Inf = NaN enters the sum) or invented
+// shows up. Every operand starts 0–3 elements into a larger backing slice,
+// so the vector loads and stores run unaligned too. dst starts full of
+// NaN: the kernels must overwrite, not accumulate into, what they find,
+// and must not touch the backing around it.
 func checkKernels(t testing.TB, rng *rand.Rand, n, k, m int, zeroFrac, specialFrac float64) {
 	t.Helper()
 	for _, kn := range matmulKernels {
 		ar, ac, br, bc := kn.operands(n, k, m)
-		a := RandN(rng, ar, ac, 1)
-		b := RandN(rng, br, bc, 1)
+		a, _ := offsetCopy(RandN(rng, ar, ac, 1), rng.Intn(4))
+		b, _ := offsetCopy(RandN(rng, br, bc, 1), rng.Intn(4))
 		for i := range a.Data {
 			if rng.Float64() < zeroFrac {
 				a.Data[i] = math.Copysign(0, rng.Float64()-0.5)
@@ -113,13 +155,19 @@ func checkKernels(t testing.TB, rng *rand.Rand, n, k, m int, zeroFrac, specialFr
 				b.Data[i] = specials[rng.Intn(len(specials))]
 			}
 		}
-		got := New(n, m)
-		got.Fill(math.NaN())
-		kn.kernel(got, a, b)
-		if i := bitDiff(got, kn.ref(a, b)); i >= 0 {
-			t.Fatalf("%s %dx%dx%d (zeros %.2f, specials %.2f): element %d = %v, reference %v",
-				kn.name, n, k, m, zeroFrac, specialFrac, i, got.Data[i], kn.ref(a, b).Data[i])
-		}
+		want := kn.ref(a, b)
+		nan := New(n, m)
+		nan.Fill(math.NaN())
+		off := rng.Intn(4)
+		onEachPath(func(path string) {
+			got, backing := offsetCopy(nan, off)
+			kn.kernel(got, a, b)
+			if i := bitDiff(got, want); i >= 0 {
+				t.Fatalf("%s on the %s path, %dx%dx%d (zeros %.2f, specials %.2f): element %d = %v, reference %v",
+					kn.name, path, n, k, m, zeroFrac, specialFrac, i, got.Data[i], want.Data[i])
+			}
+			checkGuards(t, kn.name+" on the "+path+" path", backing, off, n*m)
+		})
 	}
 }
 
@@ -178,11 +226,13 @@ func TestBlockedMatMulBitIdentical(t *testing.T) {
 	for _, sh := range matmulShapes {
 		a := RandN(rng, sh.n, sh.k, 1)
 		b := RandN(rng, sh.k, sh.m, 1)
-		got := New(sh.n, sh.m)
-		MatMulInto(got, a, b)
-		if bitDiff(got, refMatMul(a, b)) >= 0 {
-			t.Fatalf("MatMulInto %dx%dx%d differs from reference", sh.n, sh.k, sh.m)
-		}
+		onEachPath(func(path string) {
+			got := New(sh.n, sh.m)
+			MatMulInto(got, a, b)
+			if bitDiff(got, refMatMul(a, b)) >= 0 {
+				t.Fatalf("MatMulInto on the %s path, %dx%dx%d, differs from reference", path, sh.n, sh.k, sh.m)
+			}
+		})
 	}
 }
 
@@ -191,11 +241,13 @@ func TestBlockedMatMulATBitIdentical(t *testing.T) {
 	for _, sh := range matmulShapes {
 		a := RandN(rng, sh.k, sh.n, 1)
 		b := RandN(rng, sh.k, sh.m, 1)
-		got := New(sh.n, sh.m)
-		MatMulATInto(got, a, b)
-		if bitDiff(got, refMatMulAT(a, b)) >= 0 {
-			t.Fatalf("MatMulATInto %dx%dx%d differs from reference", sh.n, sh.k, sh.m)
-		}
+		onEachPath(func(path string) {
+			got := New(sh.n, sh.m)
+			MatMulATInto(got, a, b)
+			if bitDiff(got, refMatMulAT(a, b)) >= 0 {
+				t.Fatalf("MatMulATInto on the %s path, %dx%dx%d, differs from reference", path, sh.n, sh.k, sh.m)
+			}
+		})
 	}
 }
 
@@ -204,11 +256,13 @@ func TestBlockedMatMulATLargeDstBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	a := RandN(rng, 40, 300, 1)
 	b := RandN(rng, 40, 300, 1)
-	got := New(300, 300)
-	MatMulATInto(got, a, b)
-	if bitDiff(got, refMatMulAT(a, b)) >= 0 {
-		t.Fatal("large-dst MatMulATInto differs from reference")
-	}
+	onEachPath(func(path string) {
+		got := New(300, 300)
+		MatMulATInto(got, a, b)
+		if bitDiff(got, refMatMulAT(a, b)) >= 0 {
+			t.Fatalf("large-dst MatMulATInto on the %s path differs from reference", path)
+		}
+	})
 }
 
 func TestBlockedMatMulBTBitIdentical(t *testing.T) {
@@ -216,11 +270,13 @@ func TestBlockedMatMulBTBitIdentical(t *testing.T) {
 	for _, sh := range matmulShapes {
 		a := RandN(rng, sh.n, sh.k, 1)
 		b := RandN(rng, sh.m, sh.k, 1)
-		got := New(sh.n, sh.m)
-		MatMulBTInto(got, a, b)
-		if bitDiff(got, refMatMulBT(a, b)) >= 0 {
-			t.Fatalf("MatMulBTInto %dx%dx%d differs from reference", sh.n, sh.k, sh.m)
-		}
+		onEachPath(func(path string) {
+			got := New(sh.n, sh.m)
+			MatMulBTInto(got, a, b)
+			if bitDiff(got, refMatMulBT(a, b)) >= 0 {
+				t.Fatalf("MatMulBTInto on the %s path, %dx%dx%d, differs from reference", path, sh.n, sh.k, sh.m)
+			}
+		})
 	}
 }
 
@@ -247,12 +303,23 @@ func FuzzMatMulBitIdentical(f *testing.F) {
 	})
 }
 
+// TestTInto checks TInto element by element at every shape in 1…9 × 1…9,
+// so each remainder of its four-row blocks runs.
 func TestTInto(t *testing.T) {
-	m := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	dst := New(3, 2)
-	TInto(dst, m)
-	if !dst.Equal(m.T(), 0) {
-		t.Fatalf("TInto mismatch: %v", dst.Data)
+	rng := rand.New(rand.NewSource(11))
+	for r := 1; r <= 9; r++ {
+		for c := 1; c <= 9; c++ {
+			src := RandN(rng, r, c, 1)
+			dst := New(c, r)
+			TInto(dst, src)
+			for i := 0; i < r; i++ {
+				for j := 0; j < c; j++ {
+					if dst.At(j, i) != src.At(i, j) {
+						t.Fatalf("TInto %dx%d: dst[%d][%d] = %v, src[%d][%d] = %v", r, c, j, i, dst.At(j, i), i, j, src.At(i, j))
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -300,18 +367,49 @@ func TestRandNIntoMatchesRandN(t *testing.T) {
 	}
 }
 
+// TestMatMulIntoZeroAlloc pins every kernel at 0 allocations per call
+// once warm, on each path: MatMulBTInto's transposed b comes from a pool.
 func TestMatMulIntoZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	a := RandN(rng, 64, 64, 1)
-	b := RandN(rng, 64, 64, 1)
-	dst := New(64, 64)
-	if n := testing.AllocsPerRun(10, func() { MatMulInto(dst, a, b) }); n != 0 {
-		t.Fatalf("MatMulInto allocates %v per run", n)
+	for _, sh := range []struct{ n, k, m int }{{64, 64, 64}, {4, 32, 32}, {37, 2, 53}} {
+		for _, kn := range matmulKernels {
+			ar, ac, br, bc := kn.operands(sh.n, sh.k, sh.m)
+			a, b, dst := RandN(rng, ar, ac, 1), RandN(rng, br, bc, 1), New(sh.n, sh.m)
+			onEachPath(func(path string) {
+				if n := testing.AllocsPerRun(10, func() { kn.kernel(dst, a, b) }); n != 0 {
+					t.Fatalf("%s on the %s path, %dx%dx%d, allocates %v per run", kn.name, path, sh.n, sh.k, sh.m, n)
+				}
+			})
+		}
 	}
-	if n := testing.AllocsPerRun(10, func() { MatMulATInto(dst, a, b) }); n != 0 {
-		t.Fatalf("MatMulATInto allocates %v per run", n)
-	}
-	if n := testing.AllocsPerRun(10, func() { MatMulBTInto(dst, a, b) }); n != 0 {
-		t.Fatalf("MatMulBTInto allocates %v per run", n)
-	}
+}
+
+// TestMatMulBTSkipsNoTerm pins the no-skip rule of MatMulBTInto by value,
+// not only against its reference: a ±0 in a opposite a ±Inf or NaN in b
+// puts NaN into the sum, in the four-step (k = 1) and in the single step
+// after it (k = 4), while a row of ±0 against finite values sums to +0.
+func TestMatMulBTSkipsNoTerm(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	negZero := math.Copysign(0, -1)
+	a := FromSlice(2, 5, []float64{
+		0, negZero, 0, negZero, 0,
+		negZero, negZero, negZero, negZero, negZero,
+	})
+	b := FromSlice(3, 5, []float64{
+		1, -inf, 2, 3, 4, // special inside the four-step
+		1, 2, 3, 4, nan, // special in the single step
+		1, -2, 3, -4, 5, // finite
+	})
+	onEachPath(func(path string) {
+		dst := New(2, 3)
+		MatMulBTInto(dst, a, b)
+		for i := 0; i < 2; i++ {
+			if !math.IsNaN(dst.At(i, 0)) || !math.IsNaN(dst.At(i, 1)) {
+				t.Fatalf("%s path: row %d = %v, want NaN where b holds ±Inf or NaN", path, i, dst.Row(i))
+			}
+			if v := dst.At(i, 2); v != 0 || math.Signbit(v) {
+				t.Fatalf("%s path: row %d against finite b = %v, want +0", path, i, v)
+			}
+		}
+	})
 }

@@ -180,10 +180,21 @@ func TInto(dst, src *Matrix) {
 	if dst.Rows != src.Cols || dst.Cols != src.Rows {
 		panic(fmt.Sprintf("tensor: TInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, src.Cols, src.Rows))
 	}
-	for i := 0; i < src.Rows; i++ {
-		row := src.Row(i)
-		for j, v := range row {
-			dst.Data[j*src.Rows+i] = v
+	// Four src rows at a time, with the headers in locals: each dst row
+	// gets four neighbouring elements per visit instead of one (1.0 → 0.5
+	// ns per element at 32×32).
+	n, m, sd, dd := src.Rows, src.Cols, src.Data, dst.Data
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		r0, r1, r2, r3 := sd[i*m:][:m], sd[(i+1)*m:][:m], sd[(i+2)*m:][:m], sd[(i+3)*m:][:m]
+		for j := range r0 {
+			o := dd[j*n+i:][:4]
+			o[0], o[1], o[2], o[3] = r0[j], r1[j], r2[j], r3[j]
+		}
+	}
+	for ; i < n; i++ {
+		for j, v := range sd[i*m:][:m] {
+			dd[j*n+i] = v
 		}
 	}
 }
@@ -209,27 +220,21 @@ func MatMul(a, b *Matrix) *Matrix {
 // The matmul kernels share one contract, stated per output element: its
 // terms are accumulated over k in ascending order, from +0, each product
 // rounded before it is added (written float64(x*y), so a target that may
-// fuse multiply-adds — arm64, GOAMD64=v3 — cannot skip that rounding), and
-// never reassociated. The axpy-form kernels (MatMulInto, MatMulATInto) skip
-// a term exactly when its a operand is 0; the dot-form kernel (MatMulBTInto)
-// skips nothing. Every traversal that honours the contract produces the
-// same bits, so the kernels are free to block for registers: they differ
-// from the reference triple loops (into_test.go) only in how many memory
-// operations and branches each multiply-add costs.
-const (
-	// skinnyPanel bounds the k range of one register pass of MatMulATInto's
-	// skinny path (see skinny), which reads a by columns: 64 rows keep the
-	// lines of a column panel in L1 until the neighbouring columns have
-	// used them (unpanelled, a 1024×3072 a measured 2.3–5.5 ns per
-	// multiply-add).
-	skinnyPanel = 64
-	// blockJ tiles the b rows of MatMulBTInto: a blockJ-row panel of b
-	// stays cache-resident while the rows of a stream against it. It only
-	// changes which dot product is computed when (0.39 → 0.29 ns per
-	// multiply-add at PowerSGD's 1024×64·(3072×64)ᵀ reconstruction; no
-	// effect at the trainer's shapes).
-	blockJ = 128
-)
+// fuse multiply-adds — arm64, GOAMD64=v3 — cannot skip that rounding; the
+// AVX routine issues a separate multiply and add), and never reassociated.
+// The axpy-form kernels (MatMulInto, MatMulATInto) skip a term exactly when
+// its a operand is 0; MatMulBTInto skips nothing. Every traversal that
+// honours the contract produces the same bits, so the kernels are free to
+// block for registers and to work on four output elements per instruction:
+// they differ from the reference triple loops (into_test.go) only in how
+// many instructions, memory operations and branches each multiply-add
+// costs. All three run the same inner loop, mulAdd4.
+
+// skinnyPanel bounds the k range of one register pass of MatMulATInto's
+// skinny path (see skinny), which reads a by columns: 64 rows keep the
+// lines of a column panel in L1 until the neighbouring columns have used
+// them (unpanelled, a 1024×3072 a measured 2.3–5.5 ns per multiply-add).
+const skinnyPanel = 64
 
 // MatMulInto computes dst = a×b without allocating. dst must be a.Rows ×
 // b.Cols and must not alias a or b.
@@ -240,22 +245,38 @@ func MatMulInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
+	matMulRows(dst, a, b.Data, true)
+}
+
+// matMulRows sets dst = a×b for the a.Cols×dst.Cols row-major b in bd,
+// one dst row at a time: each row gathers its k terms four at a time
+// through axpy4 (skip set) or mulAdd4 (skip clear, no term skipped).
+func matMulRows(dst, a *Matrix, bd []float64, skip bool) {
 	dst.Zero()
-	kk, m := a.Cols, b.Cols
-	bd := b.Data
+	kk, m := a.Cols, dst.Cols
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		d := dst.Row(i)
-		if skinny(m) {
+		if skip && skinny(m) {
 			skinnyRow(d, arow, 1, bd)
 			continue
 		}
 		k := 0
 		for ; k+4 <= kk; k += 4 {
-			axpy4(d, arow[k], arow[k+1], arow[k+2], arow[k+3], bd[k*m:(k+4)*m])
+			bk := bd[k*m : (k+4)*m]
+			if skip {
+				axpy4(d, arow[k], arow[k+1], arow[k+2], arow[k+3], bk)
+			} else {
+				mulAdd4(d, arow[k], arow[k+1], arow[k+2], arow[k+3], bk)
+			}
 		}
 		for ; k < kk; k++ {
-			axpy(d, arow[k], bd[k*m:(k+1)*m])
+			bk := bd[k*m : (k+1)*m]
+			if skip {
+				axpy(d, arow[k], bk)
+			} else {
+				mulAdd(d, arow[k], bk)
+			}
 		}
 	}
 }
@@ -299,13 +320,39 @@ func MatMulATInto(dst, a, b *Matrix) {
 	}
 }
 
+// btScratch holds MatMulBTInto's transposed b between calls, so the
+// steady state allocates nothing; a Pool, because the trainer's rank
+// goroutines call the kernel concurrently.
+var btScratch = NewPool()
+
+// MatMulBTInto computes dst = a×bᵀ. a is n×m, b is p×m, dst must be n×p.
+// It transposes b into pooled scratch and runs MatMulInto's row loop with
+// no term skipped: each output is the same k-ascending sum from +0 that a
+// dot product of a row of a with a row of b gives.
+func MatMulBTInto(dst, a, b *Matrix) {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulBT inner mismatch %dx%d * %dx%d^T", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulBTInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
+	}
+	bt := btScratch.GetUninit(b.Cols, b.Rows)
+	TInto(bt, b)
+	matMulRows(dst, a, bt.Data, false)
+	btScratch.Put(bt)
+}
+
 // axpy is one k step of an axpy-form kernel: it adds av·b to d element by
 // element, or nothing at all when av is 0 — the zero skip, which keeps
 // 0·Inf and the sign of a −0 product out of the sums.
 func axpy(d []float64, av float64, b []float64) {
-	if av == 0 {
-		return
+	if av != 0 {
+		mulAdd(d, av, b)
 	}
+}
+
+// mulAdd is axpy without the zero skip: d[j] += av·b[j].
+func mulAdd(d []float64, av float64, b []float64) {
 	b = b[:len(d)]
 	for j := range d {
 		d[j] += float64(av * b[j])
@@ -313,28 +360,40 @@ func axpy(d []float64, av float64, b []float64) {
 }
 
 // axpy4 is four consecutive k steps against the four len(d)-long rows
-// packed in b. When no a operand is 0 each d element is loaded and stored
-// once for the four multiply-adds instead of once each; the adds into v
-// still happen in k order, exactly as the four axpy calls of the other
-// branch do them.
+// packed in b, with axpy's zero skip: when any a operand is 0 it falls
+// back to four single steps, otherwise it runs mulAdd4.
 //
-// Not inlined on purpose: inside a kernel the loop competes with the
+// Not inlined on purpose: inside a kernel its loops compete with the
 // kernel's own live slices for registers and the row bases get reloaded
 // from the stack every iteration (0.50 instead of 0.28 ns per multiply-add
-// measured in MatMulATInto); standing alone everything stays in registers.
+// measured in MatMulATInto, when the four-step loop itself lived here).
 //
 //go:noinline
 func axpy4(d []float64, a0, a1, a2, a3 float64, b []float64) {
-	p := len(d)
-	// Re-sliced to len(d) so the loops carry no bounds checks.
-	b0, b1, b2, b3 := b[:p], b[p:][:p], b[2*p:][:p], b[3*p:][:p]
 	if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
-		axpy(d, a0, b0)
-		axpy(d, a1, b1)
-		axpy(d, a2, b2)
-		axpy(d, a3, b3)
+		p := len(d)
+		axpy(d, a0, b[:p])
+		axpy(d, a1, b[p:][:p])
+		axpy(d, a2, b[2*p:][:p])
+		axpy(d, a3, b[3*p:][:p])
 		return
 	}
+	mulAdd4(d, a0, a1, a2, a3, b[:4*len(d)])
+}
+
+// mulAdd4 is four consecutive k steps with no zero skip against the four
+// len(d)-long rows packed in b (len(b) must be 4·len(d)): d[j] += a0·b0[j],
+// then a1·b1[j], a2·b2[j] and a3·b3[j], each d element loaded and stored
+// once for the four multiply-adds, which still happen in k order. It is
+// mulAdd4Go, or on amd64 with AVX the assembly routine doing the same per
+// element four elements at a time; tests set it to force the portable loop.
+var mulAdd4 = mulAdd4Go
+
+// mulAdd4Go is the portable mulAdd4.
+func mulAdd4Go(d []float64, a0, a1, a2, a3 float64, b []float64) {
+	p := len(d)
+	// Re-sliced to len(d) so the loop carries no bounds checks.
+	b0, b1, b2, b3 := b[:p], b[p:][:p], b[2*p:][:p], b[3*p:][:p]
 	for j := range d {
 		v := d[j]
 		v += float64(a0 * b0[j])
@@ -382,52 +441,6 @@ func skinnyRow(d, a []float64, stride int, b []float64) {
 	d[0], d[1], d[2], d[3] = s0, s1, s2, s3
 }
 
-// MatMulBTInto computes dst = a×bᵀ without materializing bᵀ.
-// a is n×m, b is p×m, dst must be n×p.
-func MatMulBTInto(dst, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulBT inner mismatch %dx%d * %dx%d^T", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulBTInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
-	}
-	m, p := a.Cols, b.Rows
-	bd := b.Data
-	for jb := 0; jb < p; jb += blockJ {
-		jEnd := min(jb+blockJ, p)
-		for i := 0; i < a.Rows; i++ {
-			arow := a.Row(i)
-			d := dst.Row(i)
-			j := jb
-			// Four dot products at a time: each output is still one
-			// full-length k-ascending sum, but four independent
-			// accumulators keep the adders busy where a single one waits
-			// out the add latency on every term.
-			for ; j+4 <= jEnd; j += 4 {
-				bj := bd[j*m : (j+4)*m]
-				// Re-sliced to len(arow) so the loop carries no bounds checks.
-				b0, b1, b2, b3 := bj[:len(arow)], bj[m:][:len(arow)], bj[2*m:][:len(arow)], bj[3*m:][:len(arow)]
-				var s0, s1, s2, s3 float64
-				for k, av := range arow {
-					s0 += float64(av * b0[k])
-					s1 += float64(av * b1[k])
-					s2 += float64(av * b2[k])
-					s3 += float64(av * b3[k])
-				}
-				d[j], d[j+1], d[j+2], d[j+3] = s0, s1, s2, s3
-			}
-			for ; j < jEnd; j++ {
-				brow := bd[j*m:][:len(arow)]
-				var s float64
-				for k, av := range arow {
-					s += float64(av * brow[k])
-				}
-				d[j] = s
-			}
-		}
-	}
-}
-
 // FrobeniusNorm returns sqrt(Σ x²).
 func (m *Matrix) FrobeniusNorm() float64 {
 	var s float64
@@ -466,13 +479,18 @@ func (m *Matrix) Mean() float64 {
 }
 
 // Equal reports whether m and o have identical shape and elements within
-// tol (absolute).
+// tol (absolute). A NaN matches only a NaN at the same index.
 func (m *Matrix) Equal(o *Matrix, tol float64) bool {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		return false
 	}
 	for i, v := range m.Data {
-		if math.Abs(v-o.Data[i]) > tol {
+		w := o.Data[i]
+		if math.IsNaN(v) || math.IsNaN(w) {
+			if !math.IsNaN(v) || !math.IsNaN(w) {
+				return false
+			}
+		} else if math.Abs(v-w) > tol {
 			return false
 		}
 	}

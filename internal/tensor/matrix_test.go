@@ -202,6 +202,31 @@ func TestEqualTolerance(t *testing.T) {
 	}
 }
 
+// TestEqualNaN: a NaN matches only a NaN at the same index, at any tol
+// (NaN−x is NaN, which no "> tol" test catches), while equal infinities
+// still match.
+func TestEqualNaN(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		a, b []float64
+		tol  float64
+		want bool
+	}{
+		{[]float64{nan, 1}, []float64{5, 1}, 0, false},
+		{[]float64{5, 1}, []float64{nan, 1}, 0, false},
+		{[]float64{nan, 1}, []float64{5, 1}, inf, false},
+		{[]float64{1, nan}, []float64{nan, 1}, 0, false},
+		{[]float64{nan, 1}, []float64{nan, 1}, 0, true},
+		{[]float64{inf, -inf}, []float64{inf, -inf}, 0, true},
+		{[]float64{inf, 1}, []float64{-inf, 1}, 0, false},
+	}
+	for _, c := range cases {
+		if got := FromSlice(1, 2, c.a).Equal(FromSlice(1, 2, c.b), c.tol); got != c.want {
+			t.Errorf("%v.Equal(%v, %v) = %v, want %v", c.a, c.b, c.tol, got, c.want)
+		}
+	}
+}
+
 func TestSizeBytes(t *testing.T) {
 	m := New(4, 8)
 	if got := m.SizeBytes(2); got != 64 {

@@ -42,15 +42,6 @@ func NewSparse(rows, cols, capNNZ int) *Sparse {
 // NNZ returns the number of stored entries.
 func (s *Sparse) NNZ() int { return len(s.Values) }
 
-// Density returns NNZ / (Rows·Cols), 0 for an empty shape.
-func (s *Sparse) Density() float64 {
-	n := s.Rows * s.Cols
-	if n == 0 {
-		return 0
-	}
-	return float64(len(s.Values)) / float64(n)
-}
-
 // Reuse resizes s to k entries (contents unspecified) for shape
 // rows×cols, reallocating only when capacity is insufficient — the
 // steady-state path of every compressor and pool cycle is
