@@ -25,26 +25,40 @@ func BenchmarkAllReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkAllReduceCompressed measures the PowerSGD+error-feedback
-// collective (the §7 selective-stage DP path).
+// BenchmarkAllReduceCompressed measures the error-feedback compressed
+// collective (the §7 selective-stage DP path) on collective-mix's shapes:
+// PowerSGD rank 4 on 128×128 and TopK 2 % on 256×256, at D = 4 and 8.
 func BenchmarkAllReduceCompressed(b *testing.B) {
-	const d = 4
-	rt := flatRuntime(b, d)
-	grp := rt.NewGroup(ClassDP, rt.Topology().DPGroup(0))
-	efs := make([]*compress.ErrorFeedback, d)
-	for i := range efs {
-		efs[i] = compress.NewErrorFeedback(compress.NewPowerSGD(4, int64(i)))
-		efs[i].SetPool(rt.Pool())
+	families := []struct {
+		name  string
+		side  int
+		build func(member int) compress.Compressor
+	}{
+		{"powersgd", 128, func(i int) compress.Compressor { return compress.NewPowerSGD(4, int64(100+i)) }},
+		{"topk", 256, func(int) compress.Compressor { return compress.NewTopK(0.02) }},
 	}
-	bufs := randBufs(d, 48, 48, 1)
-	// Two warm-up rounds: the second faults in the error-feedback input
-	// buffers that only exist once a residual is stored.
-	grp.AllReduceCompressed(bufs, efs, 1/float64(d))
-	grp.AllReduceCompressed(bufs, efs, 1/float64(d))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		grp.AllReduceCompressed(bufs, efs, 1/float64(d))
+	for _, d := range []int{4, 8} {
+		for _, f := range families {
+			b.Run(fmt.Sprintf("d%d/%s", d, f.name), func(b *testing.B) {
+				rt := flatRuntime(b, d)
+				grp := rt.NewGroup(ClassDP, rt.Topology().DPGroup(0))
+				efs := make([]*compress.ErrorFeedback, d)
+				for i := range efs {
+					efs[i] = compress.NewErrorFeedback(f.build(i))
+					efs[i].SetPool(rt.Pool())
+				}
+				bufs := randBufs(d, f.side, f.side, 1)
+				// Two warm-up rounds: the second faults in the error-feedback
+				// input buffers that only exist once a residual is stored.
+				grp.AllReduceCompressed(bufs, efs, 1/float64(d))
+				grp.AllReduceCompressed(bufs, efs, 1/float64(d))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					grp.AllReduceCompressed(bufs, efs, 1/float64(d))
+				}
+			})
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -49,6 +50,12 @@ var bucketCases = []struct {
 	{"fewer dense elements than D", []chanSpec{denseCh(1, 1), compCh(5, 4, powerSGD(2))}},
 	{"single dense channel", []chanSpec{denseCh(7, 13)}},
 	{"single compressed channel", []chanSpec{compCh(7, 13, powerSGD(2))}},
+	// Members past the channel's element count fold empty chunks.
+	{"compressed channel smaller than D", []chanSpec{compCh(1, 3, powerSGD(1))}},
+	// One kept coordinate per member: the 1×24 channel merges under the
+	// density cap with most chunks empty, and the 1×1 channel's only
+	// coordinate lands in member 0's chunk (scatter-add past the cap).
+	{"topk kept coordinates in few chunks", []chanSpec{compCh(1, 24, topK(0.02)), compCh(1, 1, topK(1))}},
 }
 
 // testBucket is one materialized bucket: its channel list plus, per
@@ -398,5 +405,61 @@ func TestBucketValidation(t *testing.T) {
 		"ef count":       {{Bufs: randBufs(2, 2, 2, 1), EFs: efs[:1]}},
 	} {
 		expectPanic(t, name, func() { g.AllReduceBucket(chans, 1) })
+	}
+}
+
+// TestFileRejectsMismatchedParts pins the receive-side checks of a
+// payload batch: the fold reads raw element ranges, so file must refuse
+// a part whose count, form or shape does not fit its channel — a
+// transposed part of the right size included.
+func TestFileRejectsMismatchedParts(t *testing.T) {
+	const rows, cols = 4, 6
+	rt := flatRuntime(t, 2)
+	g := rt.NewGroup(ClassDP, []int{0, 1})
+	// Channel 0 reduces dense reconstructions (PowerSGD), channel 1
+	// sparse payloads (TopK).
+	b := newTestBucket(2, []chanSpec{compCh(rows, cols, powerSGD(2)), compCh(rows, cols, topK(0.25))}, nil)
+	sparse := func(r, c int) *tensor.Sparse {
+		s := tensor.NewSparse(r, c, 1)
+		s.Indices, s.Values = append(s.Indices, 1), append(s.Values, 0.5)
+		return s
+	}
+	dense := Part{Payload: tensor.New(rows, cols)}
+	sp := Part{Sparse: sparse(rows, cols)}
+	for _, tc := range []struct {
+		name  string
+		parts []Part
+		ok    bool
+	}{
+		{"dense and sparse parts", []Part{dense, sp}, true},
+		{"factor pair", []Part{{P: tensor.New(rows, 2), Q: tensor.New(cols, 2)}, sp}, true},
+		{"too few parts", []Part{dense}, false},
+		{"too many parts", []Part{dense, sp, sp}, false},
+		{"sparse part on a dense channel", []Part{sp, sp}, false},
+		{"dense part on a sparse channel", []Part{dense, dense}, false},
+		{"transposed dense part", []Part{{Payload: tensor.New(cols, rows)}, sp}, false},
+		{"transposed sparse part", []Part{dense, {Sparse: sparse(cols, rows)}}, false},
+		{"factor P rows", []Part{{P: tensor.New(cols, 2), Q: tensor.New(cols, 2)}, sp}, false},
+		{"factor Q rows", []Part{{P: tensor.New(rows, 2), Q: tensor.New(rows, 2)}, sp}, false},
+		{"factor ranks differ", []Part{{P: tensor.New(rows, 2), Q: tensor.New(cols, 1)}, sp}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := g.getOp()
+			p.chans = b.chans
+			p.layout()
+			msg := Msg{Part: tc.parts[0], More: tc.parts[1:]}
+			defer func() {
+				r := recover()
+				if tc.ok && r != nil {
+					t.Fatalf("valid batch refused: %v", r)
+				}
+				if !tc.ok {
+					if s, _ := r.(string); !strings.HasPrefix(s, "collective: ") {
+						t.Fatalf("want a collective: panic, got %v", r)
+					}
+				}
+			}()
+			p.file(msg, 1)
+		})
 	}
 }

@@ -34,7 +34,7 @@
 //     with per-rank error feedback inside the collective — exactly the
 //     semantics of per-group PowerSGD gradient averaging — and every
 //     member's whole payload batch rides one ring all-gather, R−1 steps,
-//     followed by a local reduction per channel. AllReduce and
+//     followed by a flat-order reduction per channel. AllReduce and
 //     AllReduceCompressed are the bucket-of-one forms of the same
 //     schedule, and Broadcast is a ring pipeline. Bucketing never
 //     changes a result or the bytes moved (each chunk and each payload
@@ -74,6 +74,24 @@
 // observes the Thakur ring's traffic volume. In process the happens-
 // before edges that make the shared-memory reads safe are carried by
 // the messages themselves, which the race-enabled tests exercise.
+//
+// Compressed channels are reduced the same way after their all-gather:
+// every payload is folded in flat rank order, summed (dense
+// reconstructions) or merge-unioned (sparse payloads, scatter-added
+// past a density cap that every member decides on the channel's whole
+// nnz). Who folds what depends on where the payloads are. In process
+// all R are in shared memory, so the fold is split like the dense
+// reduce-scatter: member m folds only chunk m of the balanced R-way
+// partition the dense ring uses (cutting each sparse payload to the
+// chunk by binary search on its ascending indices), then writes the
+// chunk into all R members' buffers. That needs no barrier and no
+// extra message: each member's first gather send follows its whole
+// compression pass — its last read of its buffers — and a member's
+// R−1-step gather ends after a chain of messages from every such send,
+// so all reads happen-before its writes, which cover disjoint ranges.
+// Over a wire each process holds one member, which folds the whole
+// channel into its own buffer. Per coordinate both run the same IEEE
+// addition sequence, so the results agree at tolerance zero.
 //
 // # Async handles
 //

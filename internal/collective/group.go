@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,8 +41,8 @@ type Group struct {
 
 	// denseReduce forces compressed channels to densify sparse payloads
 	// and reduce through the dense reconstruction path even for
-	// sparse-native families — the oracle knob the equivalence tests and
-	// the sparse-vs-densified benchmarks flip.
+	// sparse-native families — the oracle knob the sparse equivalence
+	// tests set.
 	denseReduce bool
 
 	// free recycles op descriptors between issues. Pending handles are
@@ -50,11 +51,6 @@ type Group struct {
 	mu   sync.Mutex
 	free []*Pending
 }
-
-// SetDensifiedReduce toggles the densified oracle path for compressed
-// all-reduces (off by default: sparse-native families reduce sparsely).
-// Must not be called while operations are in flight.
-func (g *Group) SetDensifiedReduce(on bool) { g.denseReduce = on }
 
 // SetTag labels the group's trace spans with a stage index (−1 clears).
 // Must not be called while operations are in flight.
@@ -114,7 +110,8 @@ type Pending struct {
 	// contribution to compressed channel k — a pooled reconstruction
 	// (Payload) or sparse copy — written by member j in memory, by the
 	// local member as batches arrive over a wire, read by every member
-	// after the gather, and returned to the pool by the op's last member.
+	// after the gather (in memory, over that member's chunk only), and
+	// returned to the pool by the op's last member.
 	comp   []int
 	sparse []bool
 	slots  []Part
@@ -161,8 +158,11 @@ func (g *Group) Class() Class { return g.class }
 //     2(D−1) steps, aggregate volume 2·V·(D−1) for V dense bytes;
 //   - every member's whole payload batch rides one ring all-gather (each
 //     step forwards the batch received on the previous one, D−1 steps,
-//     aggregate (D−1)·D·w for a w-byte batch), after which each member
-//     folds each channel's D payloads locally.
+//     aggregate (D−1)·D·w for a w-byte batch), after which each
+//     channel's D payloads are folded: in process every member folds
+//     its 1/D chunk of the channel and writes it into all D buffers (see
+//     fold), over a wire the local member folds the whole channel into
+//     its own buffer.
 //
 // Every reduction applies in flat ring order, so each channel's result
 // is bit-identical to reducing it on its own and to the serial reference
@@ -198,8 +198,8 @@ func (g *Group) AllReduceAsync(bufs []*tensor.Matrix, scale float64) *Pending {
 // AllReduceCompressed is AllReduceBucket over the single compressed
 // tensor bufs: each rank compresses its own buffer through its private
 // error-feedback compressor (efs[i] belongs to ranks[i]), the payloads
-// ride the ring all-gather, and every rank reduces the reconstructions
-// in flat ring order into its buffer. The result matches the serial
+// ride the ring all-gather, and the reconstructions are reduced in flat
+// ring order into every rank's buffer. The result matches the serial
 // per-group compress-then-average semantics bit for bit.
 func (g *Group) AllReduceCompressed(bufs []*tensor.Matrix, efs []*compress.ErrorFeedback, scale float64) {
 	g.AllReduceCompressedAsync(bufs, efs, scale).Wait()
@@ -352,25 +352,30 @@ func (p *Pending) layout() {
 		p.sparse = append(p.sparse, sparse)
 	}
 
-	// The balanced D-way partition of the concatenation: chunk sizes
-	// differ by at most one element (odd sizes and fewer elements than
-	// members — empty chunks — are fine).
 	n := p.cum[len(p.dense)]
-	base, rem := n/d, n%d
-	off := 0
 	for c := 0; c < d; c++ {
-		p.offs[c] = off
-		off += base
-		if c < rem {
-			off++
-		}
+		p.offs[c], p.offs[c+1] = chunk(n, d, c)
 	}
-	p.offs[d] = off
 
 	p.slots = resize(p.slots, len(p.comp)*d)
 	if g.rt.remote {
 		p.batch = resize(p.batch, len(p.comp))
 	}
+}
+
+// chunk returns chunk c, [lo, hi), of the balanced d-way partition of n
+// elements — the dense ring's chunks of the concatenation and each
+// member's share of a compressed channel's fold. Chunk sizes differ by at
+// most one element, the larger ones first (odd sizes and fewer elements
+// than members — empty chunks — are fine).
+func chunk(n, d, c int) (lo, hi int) {
+	base, rem := n/d, n%d
+	lo = c*base + min(c, rem)
+	hi = lo + base
+	if c < rem {
+		hi++
+	}
+	return lo, hi
 }
 
 // resize returns s with length n, reusing its storage when it fits.
@@ -767,20 +772,40 @@ func (p *Pending) gatherCompressed(m int, batchBytes int64) {
 
 // file stores member j's received batch in its slots, multiplying factor
 // pairs back out. The factors themselves stay alive until the op ends:
-// the batch is still to be forwarded from them.
+// the batch is still to be forwarded from them. Every part is checked
+// against its channel's form and shape first: the fold reads raw element
+// ranges, so a part of the right size but the wrong shape would
+// otherwise be folded silently.
 func (p *Pending) file(msg Msg, j int) {
 	g := p.g
 	if msg.NumParts() != len(p.comp) {
 		panic(fmt.Sprintf("collective: payload batch of %d parts for %d compressed channels", msg.NumParts(), len(p.comp)))
 	}
-	for k := range p.comp {
+	for k, ci := range p.comp {
 		part := msg.PartAt(k)
+		rows, cols := p.chans[ci].Bufs[0].Shape()
+		var r, c int
+		switch {
+		case p.sparse[k] != (part.Sparse != nil):
+			panic(fmt.Sprintf("collective: payload batch part %d has the wrong form", k))
+		case part.Sparse != nil:
+			r, c = part.Sparse.Rows, part.Sparse.Cols
+		case part.P != nil:
+			if part.Q == nil || part.P.Cols != part.Q.Cols {
+				panic(fmt.Sprintf("collective: payload batch part %d is not a factor pair", k))
+			}
+			r, c = part.P.Rows, part.Q.Rows
+		case part.Payload != nil:
+			r, c = part.Payload.Shape()
+		default:
+			panic(fmt.Sprintf("collective: payload batch part %d has the wrong form", k))
+		}
+		if r != rows || c != cols {
+			panic(fmt.Sprintf("collective: payload batch part %d is %dx%d for a %dx%d channel", k, r, c, rows, cols))
+		}
 		if part.P != nil {
 			p.spent = append(p.spent, part.P, part.Q)
 			part = Part{Payload: g.rt.reconstruct(part)}
-		}
-		if p.sparse[k] != (part.Sparse != nil) {
-			panic(fmt.Sprintf("collective: payload batch part %d has the wrong form", k))
 		}
 		p.slots[k*len(g.ranks)+j] = part
 	}
@@ -799,52 +824,92 @@ func (p *Pending) file(msg Msg, j int) {
 const SparseReduceCapFraction = 0.5
 
 // fold reduces compressed channel k's D slots, in flat member order,
-// into member m's buffer. A dense-reconstruction channel sums them; a
-// sparse-native one reduces by merge-union — per coordinate the same
-// left-to-right addition sequence as the densified oracle, hence
+// over member m's share of the channel. A dense-reconstruction channel
+// sums them; a sparse-native one reduces by merge-union — per coordinate
+// the same left-to-right addition sequence as the densified oracle, hence
 // bit-identical at tol 0 — with no dense reconstruction anywhere.
+//
+// In memory every member's buffer holds the same result, so the fold is
+// split the way the dense ring splits its reduce-scatter: member m folds
+// only chunk m of the balanced D-way partition into its own buffer and
+// copies it into the other D−1 members' buffers. No barrier is needed
+// before those writes: every member's step-0 gather send follows its
+// whole compress loop — its last read of its buffers — and this member's
+// D−1-step gather has received a chain of messages from each of those
+// sends, so every read happens-before these writes; the members write
+// disjoint ranges; and the buffers are the op's until Wait, which waits
+// for every member. Nothing extra goes on the transport. Over a wire the
+// local member is the only one here, so it folds the whole channel into
+// its own buffer.
 func (p *Pending) fold(m, k int) {
 	g := p.g
 	d := len(g.ranks)
-	pool := g.rt.pool
-	buf := p.chans[p.comp[k]].Bufs[m]
+	bufs := p.chans[p.comp[k]].Bufs
+	buf := bufs[m]
 	slots := p.slots[k*d : (k+1)*d]
-	buf.Zero()
-	if !p.sparse[k] {
-		for _, s := range slots {
-			buf.Add(s.Payload)
-		}
-		if p.scale != 1 {
-			buf.Scale(p.scale)
-		}
-		return
+	lo, hi := 0, buf.NumElements()
+	if !g.rt.remote {
+		lo, hi = chunk(hi, d, m)
 	}
+	acc := buf.Data[lo:hi]
+	clear(acc)
+	if p.sparse[k] {
+		p.foldSparse(m, buf, slots, lo, hi)
+	} else {
+		for _, s := range slots {
+			for i, v := range s.Payload.Data[lo:hi] {
+				acc[i] += v
+			}
+		}
+		p.scaleRange(acc)
+	}
+	if !g.rt.remote {
+		for j, b := range bufs {
+			if j != m {
+				copy(b.Data[lo:hi], acc)
+			}
+		}
+	}
+}
 
-	// All members see the same payloads, so the cap decision is uniform
-	// (member 0 books it: once per channel, in whichever process runs it).
+// foldSparse is fold's sparse-native reduction of elements [lo, hi) of
+// buf, which the caller has zeroed there. Each slot is cut to the range
+// (see cut). The density cap is decided on the whole channel's nnz, so
+// every member decides alike.
+func (p *Pending) foldSparse(m int, buf *tensor.Matrix, slots []Part, lo, hi int) {
+	g := p.g
 	total := 0
 	for _, s := range slots {
 		total += s.Sparse.NNZ()
 	}
+	// Member 0 books the decision: once per channel, in whichever process
+	// runs it.
 	if float64(total) > SparseReduceCapFraction*float64(buf.NumElements()) {
 		if m == 0 {
 			g.rt.spFallbacks.Add(1)
 		}
 		for _, s := range slots {
-			tensor.SpAxpyInto(buf, 1, s.Sparse)
+			v := cut(s.Sparse, lo, hi)
+			tensor.SpAxpyInto(buf, 1, &v)
 		}
-		if p.scale != 1 {
-			buf.Scale(p.scale)
-		}
+		p.scaleRange(buf.Data[lo:hi])
 		return
 	}
 	if m == 0 {
 		g.rt.spOps.Add(1)
 	}
+	// Both merge buffers are sized for the whole channel's union: pooled
+	// buffers serve every member's chunk in turn, and one sized for a
+	// smaller chunk would otherwise regrow in the steady state.
+	pool := g.rt.pool
 	sa, sb := pool.GetSparse(buf.Rows, buf.Cols), pool.GetSparse(buf.Rows, buf.Cols)
-	cur, next := slots[0].Sparse, sa
+	sa.Reuse(total, buf.Rows, buf.Cols)
+	sb.Reuse(total, buf.Rows, buf.Cols)
+	first := cut(slots[0].Sparse, lo, hi)
+	cur, next := &first, sa
 	for _, s := range slots[1:] {
-		tensor.MergeUnionInto(next, cur, s.Sparse)
+		v := cut(s.Sparse, lo, hi)
+		tensor.MergeUnionInto(next, cur, &v)
 		if next == sa {
 			cur, next = sa, sb
 		} else {
@@ -854,6 +919,25 @@ func (p *Pending) fold(m, k int) {
 	tensor.SpAxpyInto(buf, p.scale, cur)
 	pool.PutSparse(sa)
 	pool.PutSparse(sb)
+}
+
+// cut returns the entries of s whose flat index lies in [lo, hi), as a
+// view sharing s's storage: Indices ascend, so two binary searches bound
+// them.
+func cut(s *tensor.Sparse, lo, hi int) tensor.Sparse {
+	a, _ := slices.BinarySearch(s.Indices, lo)
+	b, _ := slices.BinarySearch(s.Indices, hi)
+	return tensor.Sparse{Rows: s.Rows, Cols: s.Cols, Indices: s.Indices[a:b], Values: s.Values[a:b]}
+}
+
+// scaleRange applies the op's scale to a folded range.
+func (p *Pending) scaleRange(acc []float64) {
+	if p.scale == 1 {
+		return
+	}
+	for i := range acc {
+		acc[i] *= p.scale
+	}
 }
 
 // runBroadcast executes member m's share of the ring pipeline rooted at

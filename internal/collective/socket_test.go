@@ -172,23 +172,28 @@ func TestSocketRuntimeEquivalence(t *testing.T) {
 	// One op script, executed identically by every rank process and by
 	// the in-memory oracle. Compressor families cover the dense wire
 	// runner (PowerSGD), the sparse merge-union runner (small TopK), and
-	// the sparse dense-fallback runner (TopK over the density cap).
+	// the sparse dense-fallback runner (TopK over the density cap), and a
+	// 1×3 PowerSGD channel smaller than the group, whose in-memory fold
+	// leaves some members empty chunks.
 	type procResult struct {
-		bufs  []*tensor.Matrix
-		stats Stats
-		sp    SparseReduceStats
+		bufs, small []*tensor.Matrix
+		stats       Stats
+		sp          SparseReduceStats
 	}
 	script := func(rt *Runtime) procResult {
 		g := rt.NewGroup(ClassDP, topo.DPGroup(0))
 		ge := rt.NewGroup(ClassEmb, topo.DPGroup(0))
 		bufs := randBufs(d, rows, cols, 17)
+		small := randBufs(d, 1, 3, 19)
 		efsP := make([]*compress.ErrorFeedback, d)
 		efsS := make([]*compress.ErrorFeedback, d)
 		efsF := make([]*compress.ErrorFeedback, d)
+		efsT := make([]*compress.ErrorFeedback, d)
 		for i := range efsP {
 			efsP[i] = compress.NewErrorFeedback(compress.NewPowerSGD(2, int64(100+i)))
 			efsS[i] = compress.NewErrorFeedback(compress.NewTopK(0.05))
 			efsF[i] = compress.NewErrorFeedback(compress.NewTopK(0.9))
+			efsT[i] = compress.NewErrorFeedback(compress.NewPowerSGD(1, int64(200+i)))
 		}
 		reseed := func(seed int64) {
 			fresh := randBufs(d, rows, cols, seed)
@@ -211,7 +216,10 @@ func TestSocketRuntimeEquivalence(t *testing.T) {
 		g.AllReduceCompressed(bufs, efsS, 1/float64(d))
 		reseed(43)
 		g.AllReduceCompressed(bufs, efsF, 1/float64(d))
-		return procResult{bufs: bufs, stats: rt.Stats(), sp: rt.SparseReduceStats()}
+		for iter := 0; iter < 2; iter++ {
+			g.AllReduceCompressed(small, efsT, 1/float64(d))
+		}
+		return procResult{bufs: bufs, small: small, stats: rt.Stats(), sp: rt.SparseReduceStats()}
 	}
 
 	// Oracle run over shared memory.
@@ -238,6 +246,9 @@ func TestSocketRuntimeEquivalence(t *testing.T) {
 	for r := 0; r < d; r++ {
 		if !results[r].bufs[r].Equal(want.bufs[r], 0) {
 			t.Errorf("rank %d local buffer differs from in-memory oracle", r)
+		}
+		if !results[r].small[r].Equal(want.small[r], 0) {
+			t.Errorf("rank %d local 1x3 buffer differs from in-memory oracle", r)
 		}
 	}
 

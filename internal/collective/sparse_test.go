@@ -43,7 +43,7 @@ func TestSparseAllReduceCompressedMatchesDensified(t *testing.T) {
 				rt := flatRuntime(t, d)
 				sparseGrp := rt.NewGroup(ClassDP, rt.Topology().DPGroup(0))
 				denseGrp := rt.NewGroup(ClassDP, rt.Topology().DPGroup(0))
-				denseGrp.SetDensifiedReduce(true)
+				denseGrp.denseReduce = true
 				sparseEF := sparseEFs(t, family, d, 0.1)
 				denseEF := sparseEFs(t, family, d, 0.1)
 
@@ -84,7 +84,7 @@ func TestSparseAllReduceWireMatchesDensified(t *testing.T) {
 	rt := flatRuntime(t, d)
 	sparseGrp := rt.NewGroup(ClassDP, rt.Topology().DPGroup(0))
 	denseGrp := rt.NewGroup(ClassDP, rt.Topology().DPGroup(0))
-	denseGrp.SetDensifiedReduce(true)
+	denseGrp.denseReduce = true
 
 	sp := sparseGrp.AllReduceCompressedAsync(randBufs(d, rows, cols, 3), sparseEFs(t, "topk", d, 0.05), 1.0/d)
 	spWire := sp.WaitBytes()
@@ -105,7 +105,7 @@ func TestSparseReduceCrossoverAccounting(t *testing.T) {
 	rt := flatRuntime(t, d)
 	grp := rt.NewGroup(ClassDP, rt.Topology().DPGroup(0))
 	oracle := rt.NewGroup(ClassDP, rt.Topology().DPGroup(0))
-	oracle.SetDensifiedReduce(true)
+	oracle.denseReduce = true
 
 	run := func(fraction float64, seed int64) {
 		t.Helper()
@@ -201,7 +201,7 @@ func TestSparseAllReduceSteadyStateZeroAllocs(t *testing.T) {
 		for _, densified := range []bool{false, true} {
 			rt := flatRuntime(t, d)
 			grp := rt.NewGroup(ClassDP, rt.Topology().DPGroup(0))
-			grp.SetDensifiedReduce(densified)
+			grp.denseReduce = densified
 			efs := sparseEFs(t, family, d, 0.05)
 			bufs := randBufs(d, 32, 32, 9)
 			warm := func() { grp.AllReduceCompressed(bufs, efs, 1.0/d) }
