@@ -133,7 +133,7 @@ func RelativeError(orig, recon *tensor.Matrix) float64 {
 	rd := recon.Data
 	for i, v := range orig.Data {
 		d := v - rd[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s) / n
 }

@@ -330,7 +330,10 @@ func Fig14Sensitivity(o Options) (Result, error) {
 // Fig15Throughput measures real PowerSGD compression/decompression
 // throughput in this Go implementation on the paper's tensor shapes, and
 // reports the GPU-side model's predictions next to the paper's headline
-// numbers.
+// numbers. The measured matrices have the models' hidden widths and a
+// token dimension of 1024 rows at DefaultOptions, scaled with
+// o.Iterations like the training length of the quality experiments, but
+// never below the largest rank, so every rank runs in full.
 func Fig15Throughput(o Options) (Result, error) {
 	t := &table{
 		title: "Fig. 15 — PowerSGD inter-stage compression throughput",
@@ -347,10 +350,11 @@ func Fig15Throughput(o Options) (Result, error) {
 		name string
 		spec cluster.GPTSpec
 	}{{"GPT-8.3B", cluster.GPT83B}, {"GPT-175B", cluster.GPT175B}}
+	ranks := []int{4, 16, 64}
+	n := max(ranks[len(ranks)-1], 8*128*o.Iterations/DefaultOptions().Iterations)
 	for _, sh := range shapes {
-		n := 8 * 128 // scaled-down token dimension keeps CPU runtime sane
 		m := sh.spec.Hidden
-		for _, rank := range []int{4, 16, 64} {
+		for _, rank := range ranks {
 			comp, dec := measureThroughput(n, m, rank)
 			gComp := cost.CompressThroughputBps(8*1024, m, rank, 2)
 			gDec := cost.DecompressThroughputBps(8*1024, m, rank, 2)

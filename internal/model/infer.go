@@ -13,14 +13,7 @@ import (
 
 // inferLinear computes x·W + b without caching.
 func inferLinear(l *Linear, x *tensor.Matrix) *tensor.Matrix {
-	y := tensor.MatMul(x, l.W)
-	for i := 0; i < y.Rows; i++ {
-		row := y.Row(i)
-		for j := range row {
-			row[j] += l.B.Data[j]
-		}
-	}
-	return y
+	return tensor.MatMul(x, l.W).AddRowVector(l.B)
 }
 
 // inferLayerNorm normalizes without caching.
@@ -33,13 +26,13 @@ func inferLayerNorm(ln *LayerNorm, x *tensor.Matrix) *tensor.Matrix {
 		var va float64
 		for _, v := range row {
 			dv := v - mu
-			va += dv * dv
+			va += float64(dv * dv)
 		}
 		va /= d
 		inv := 1 / math.Sqrt(va+lnEps)
 		yr := y.Row(i)
 		for j, v := range row {
-			yr[j] = (v-mu)*inv*ln.Gain.Data[j] + ln.Bias.Data[j]
+			yr[j] = float64((v-mu)*inv*ln.Gain.Data[j]) + ln.Bias.Data[j]
 		}
 	}
 	return y

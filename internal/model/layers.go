@@ -49,13 +49,7 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	l.xQueue.push(x)
 	y := l.scr.get(x.Rows, l.W.Cols)
 	tensor.MatMulInto(y, x, l.W)
-	for i := 0; i < y.Rows; i++ {
-		row := y.Row(i)
-		for j := range row {
-			row[j] += l.B.Data[j]
-		}
-	}
-	return y
+	return y.AddRowVector(l.B)
 }
 
 // Backward accumulates parameter gradients from dy (for the oldest
@@ -71,12 +65,7 @@ func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	tensor.MatMulATInto(gw, x, dy)
 	l.GW.Add(gw)
 	l.scr.put(gw)
-	for i := 0; i < dy.Rows; i++ {
-		row := dy.Row(i)
-		for j := range row {
-			l.GB.Data[j] += row[j]
-		}
-	}
+	l.GB.AccumulateRows(dy)
 	dx := l.scr.get(x.Rows, x.Cols)
 	tensor.MatMulBTInto(dx, dy, l.W)
 	return dx
@@ -124,7 +113,7 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 		var va float64
 		for _, v := range row {
 			dv := v - mu
-			va += dv * dv
+			va += float64(dv * dv)
 		}
 		va /= d
 		inv := 1 / math.Sqrt(va+lnEps)
@@ -134,7 +123,7 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 		for j, v := range row {
 			h := (v - mu) * inv
 			xh[j] = h
-			yr[j] = h*ln.Gain.Data[j] + ln.Bias.Data[j]
+			yr[j] = float64(h*ln.Gain.Data[j]) + ln.Bias.Data[j]
 		}
 	}
 	ln.queue.push(c)
@@ -157,17 +146,17 @@ func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		xh := c.xHat.Row(i)
 		var sumDxh, sumDxhXh float64
 		for j, g := range dyr {
-			ln.GGain.Data[j] += g * xh[j]
+			ln.GGain.Data[j] += float64(g * xh[j])
 			ln.GBias.Data[j] += g
-			v := g * ln.Gain.Data[j]
+			v := float64(g * ln.Gain.Data[j])
 			dxh[j] = v
 			sumDxh += v
-			sumDxhXh += v * xh[j]
+			sumDxhXh += float64(v * xh[j])
 		}
 		inv := c.invStd.Data[i]
 		dxr := dx.Row(i)
 		for j := range dxr {
-			dxr[j] = inv / d * (d*dxh[j] - sumDxh - xh[j]*sumDxhXh)
+			dxr[j] = inv / d * (float64(d*dxh[j]) - sumDxh - float64(xh[j]*sumDxhXh))
 		}
 	}
 	ln.scr.put(dxhRow)

@@ -51,42 +51,25 @@ func NewSGD(lr, momentum, clip float64) *SGD {
 
 // Step applies one update: p ← p − lr·v where v ← μ·v + g. The gradient
 // matrices are not modified: clipping, the momentum update and the
-// parameter update are applied element by element in one pass (the same
-// operations, each rounded on its own, as clipping a copy of g and then
-// scaling, adding and axpy-ing whole matrices).
+// parameter update are applied element by element in one pass
+// (tensor.SGDStep: the same operations, each rounded on its own, as
+// clipping a copy of g and then scaling, adding and axpy-ing whole
+// matrices).
 func (o *SGD) Step(params, grads []*tensor.Matrix) {
 	if len(params) != len(grads) {
 		panic("model: SGD params/grads length mismatch")
 	}
-	clip, mu, s := o.Clip, o.Momentum, -o.LR
 	for i, p := range params {
 		g := grads[i]
-		var vel []float64
-		if mu > 0 {
-			v := o.velocity[p]
-			if v == nil {
-				v = tensor.New(g.Rows, g.Cols)
-				o.velocity[p] = v
+		var vel *tensor.Matrix
+		if o.Momentum > 0 {
+			vel = o.velocity[p]
+			if vel == nil {
+				vel = tensor.New(g.Rows, g.Cols)
+				o.velocity[p] = vel
 			}
-			vel = v.Data
 		}
-		if len(p.Data) != len(g.Data) {
-			panic("model: SGD param/grad shape mismatch")
-		}
-		for j, e := range g.Data {
-			if clip > 0 {
-				if e > clip {
-					e = clip
-				} else if e < -clip {
-					e = -clip
-				}
-			}
-			if vel != nil {
-				e = float64(vel[j]*mu) + e
-				vel[j] = e
-			}
-			p.Data[j] += float64(s * e)
-		}
+		tensor.SGDStep(p, g, vel, -o.LR, o.Momentum, o.Clip)
 	}
 }
 

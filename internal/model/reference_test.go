@@ -347,6 +347,37 @@ type chainPair struct {
 	handed, snapshot []*tensor.Matrix
 	// dLogits queues the loss gradients of in-flight micro-batches.
 	dLogits, refDLogits []*tensor.Matrix
+	// opt steps the stages between iterations, refOpt the references.
+	opt    *SGD
+	refOpt *refSGD
+}
+
+// refSGD is momentum SGD with element-wise clipping as a scalar loop, one
+// element at a time, the oracle of SGD.Step: e = g clipped to [−clip,
+// clip] (a NaN passes); e = v·μ + e, the new v; p += −lr·e.
+type refSGD struct {
+	lr, mu, clip float64
+	velocity     map[*tensor.Matrix][]float64
+}
+
+func (o *refSGD) Step(params, grads []*tensor.Matrix) {
+	for i, p := range params {
+		v := o.velocity[p]
+		if v == nil {
+			v = make([]float64, len(p.Data))
+			o.velocity[p] = v
+		}
+		for j, e := range grads[i].Data {
+			if e > o.clip {
+				e = o.clip
+			} else if e < -o.clip {
+				e = -o.clip
+			}
+			e = float64(v[j]*o.mu) + e
+			v[j] = e
+			p.Data[j] += float64(-o.lr * e)
+		}
+	}
 }
 
 func (c *chainPair) keep(m *tensor.Matrix) {
@@ -388,8 +419,9 @@ func (c *chainPair) backward() {
 }
 
 // finish compares every gradient, checks nothing handed out was recycled,
-// then applies the same small update to both chains and clears the
-// gradients so the next iteration runs on different weights.
+// then steps both chains' optimizers — SGD.Step on the stages, the scalar
+// refSGD on the references — compares the updated weights and clears the
+// gradients, so the next iteration runs on different weights.
 func (c *chainPair) finish() {
 	for i, m := range c.handed {
 		sameBits(c.t, "matrix handed out earlier", m, c.snapshot[i])
@@ -403,8 +435,11 @@ func (c *chainPair) finish() {
 		}
 		for i := range gs {
 			sameBits(c.t, "gradient", gs[i], rgs[i])
-			ps[i].AddScaled(-0.05, gs[i])
-			rps[i].AddScaled(-0.05, rgs[i])
+		}
+		c.opt.Step(ps, gs)
+		c.refOpt.Step(rps, rgs)
+		for i := range gs {
+			sameBits(c.t, "parameter after SGD.Step", ps[i], rps[i])
 			gs[i].Zero()
 			rgs[i].Zero()
 		}
@@ -415,7 +450,8 @@ func (c *chainPair) finish() {
 // stage-owned scratch: 1…4 forwards in flight before the first backward,
 // then one-forward-one-backward, then the drain — 1F1B as each stage sees
 // it — over several iterations, so every buffer in play has been recycled
-// many times, on a single-stage chain and a first/middle/last one.
+// many times, on a single-stage chain and a first/middle/last one. Between
+// iterations SGD.Step updates the weights and must match a scalar loop.
 func TestStagesMatchReferenceAcrossInterleavings(t *testing.T) {
 	// Widths that are not multiples of four, so the kernels' remainder
 	// paths run too.
@@ -426,7 +462,9 @@ func TestStagesMatchReferenceAcrossInterleavings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := &chainPair{t: t, stages: stages}
+			// A clip small enough that some gradients hit it.
+			c := &chainPair{t: t, stages: stages, opt: NewSGD(0.05, 0.9, 0.02),
+				refOpt: &refSGD{lr: 0.05, mu: 0.9, clip: 0.02, velocity: map[*tensor.Matrix][]float64{}}}
 			for _, s := range stages {
 				c.refs = append(c.refs, newRefStage(s))
 			}

@@ -45,5 +45,5 @@ func (s *WarmupCosine) LR(iter int) float64 {
 		return s.Floor
 	}
 	progress := float64(iter-s.Warmup) / float64(s.Total-s.Warmup)
-	return s.Floor + (s.Peak-s.Floor)*0.5*(1+math.Cos(math.Pi*progress))
+	return s.Floor + float64((s.Peak-s.Floor)*0.5*(1+math.Cos(math.Pi*progress)))
 }

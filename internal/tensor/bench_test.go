@@ -60,3 +60,68 @@ func BenchmarkMatMulKernels(b *testing.B) {
 		}
 	}
 }
+
+// benchPaths runs f as a sub-benchmark on each routine path: "selected"
+// (what init chose, the AVX routines on an amd64 CPU with AVX) and
+// "portable" (the Go loops).
+func benchPaths(b *testing.B, f func(b *testing.B)) {
+	for _, p := range []struct {
+		name string
+		kern routines
+	}{{"selected", kern}, {"portable", portable}} {
+		b.Run(p.name, func(b *testing.B) {
+			saved := kern
+			defer func() { kern = saved }()
+			kern = p.kern
+			f(b)
+		})
+	}
+}
+
+// reportPerElement reports ns per element of an n-element pass.
+func reportPerElement(b *testing.B, n int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+}
+
+// BenchmarkElementwise times the elementwise passes of the DP-grid
+// iteration — Add (gradient accumulation), Scale (the DP average) and
+// AddScaledInto (error feedback) — at the default model's and the
+// DP-heavy grid's weight shapes, in ns per element on each path.
+func BenchmarkElementwise(b *testing.B) {
+	for _, n := range []int{32, 48} {
+		rng := rand.New(rand.NewSource(1))
+		x, y, dst := RandN(rng, n, n, 1), RandN(rng, n, n, 1), New(n, n)
+		ops := []struct {
+			name string
+			fn   func()
+		}{
+			{"Add", func() { dst.Add(x) }},
+			{"Scale", func() { dst.Scale(-1) }},
+			{"AddScaledInto", func() { AddScaledInto(dst, x, -1, y) }},
+		}
+		for _, op := range ops {
+			b.Run(fmt.Sprintf("%s/%dx%d", op.name, n, n), func(b *testing.B) {
+				benchPaths(b, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						op.fn()
+					}
+					reportPerElement(b, n*n)
+				})
+			})
+		}
+	}
+}
+
+// BenchmarkSGDStep times one momentum-SGD step with clipping on a 48×48
+// weight, in ns per element on each path.
+func BenchmarkSGDStep(b *testing.B) {
+	const n = 48
+	rng := rand.New(rand.NewSource(1))
+	p, g, vel := RandN(rng, n, n, 1), RandN(rng, n, n, 1), New(n, n)
+	benchPaths(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			SGDStep(p, g, vel, -1e-9, 0.9, 1)
+		}
+		reportPerElement(b, n*n)
+	})
+}

@@ -91,14 +91,14 @@ func bitDiff(got, want *Matrix) int {
 	return -1
 }
 
-// onEachPath runs f once on the mulAdd4 that init selected (the AVX
-// routine on an amd64 CPU that has it) and once on the portable loop,
+// onEachPath runs f once on the routines that init selected (the AVX
+// routines on an amd64 CPU that has it) and once on the portable loops,
 // restoring the selection afterwards, also when f fails the test.
 func onEachPath(f func(path string)) {
-	selected := mulAdd4
-	defer func() { mulAdd4 = selected }()
+	selected := kern
+	defer func() { kern = selected }()
 	f("selected")
-	mulAdd4 = mulAdd4Go
+	kern = portable
 	f("portable")
 }
 
@@ -131,7 +131,7 @@ func checkGuards(t testing.TB, what string, backing []float64, off, n int) {
 }
 
 // checkKernels runs every kernel at (n, k, m) on operands from rng, on
-// each mulAdd4 path, and compares with its reference bit for bit. zeroFrac
+// each routine path, and compares with its reference bit for bit. zeroFrac
 // of a's elements become ±0 and specialFrac of b's become ±Inf or NaN, so
 // a zero skip that is missed (0·Inf = NaN enters the sum) or invented
 // shows up. Every operand starts 0–3 elements into a larger backing slice,
@@ -385,31 +385,67 @@ func TestMatMulIntoZeroAlloc(t *testing.T) {
 }
 
 // TestMatMulBTSkipsNoTerm pins the no-skip rule of MatMulBTInto by value,
-// not only against its reference: a ±0 in a opposite a ±Inf or NaN in b
-// puts NaN into the sum, in the four-step (k = 1) and in the single step
-// after it (k = 4), while a row of ±0 against finite values sums to +0.
+// not only against its reference, on both of its traversals: a ±0
+// opposite a ±Inf or NaN puts NaN into the sum, whichever operand holds
+// the zero, while ±0 against finite values sums to +0. In the general form
+// (b transposed) the specials sit inside a four-step (k = 1) and in the
+// single step after it (k = 4); the small-batch form (a transposed) tests
+// its multipliers for zero when it skips, and they come from b, so both
+// placements of the zeros run.
 func TestMatMulBTSkipsNoTerm(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	negZero := math.Copysign(0, -1)
-	a := FromSlice(2, 5, []float64{
-		0, negZero, 0, negZero, 0,
-		negZero, negZero, negZero, negZero, negZero,
-	})
-	b := FromSlice(3, 5, []float64{
-		1, -inf, 2, 3, 4, // special inside the four-step
-		1, 2, 3, 4, nan, // special in the single step
-		1, -2, 3, -4, 5, // finite
-	})
-	onEachPath(func(path string) {
-		dst := New(2, 3)
-		MatMulBTInto(dst, a, b)
-		for i := 0; i < 2; i++ {
-			if !math.IsNaN(dst.At(i, 0)) || !math.IsNaN(dst.At(i, 1)) {
-				t.Fatalf("%s path: row %d = %v, want NaN where b holds ±Inf or NaN", path, i, dst.Row(i))
-			}
-			if v := dst.At(i, 2); v != 0 || math.Signbit(v) {
-				t.Fatalf("%s path: row %d against finite b = %v, want +0", path, i, v)
+	// zeros alternates +0 and −0 in its first row; the rest is −0.
+	zeros := func(rows, cols int) *Matrix {
+		z := New(rows, cols)
+		for i := range z.Data {
+			if i >= cols || i%2 == 1 {
+				z.Data[i] = negZero
 			}
 		}
-	})
+		return z
+	}
+	// specials holds −Inf at k = 1 in row 0 and NaN at k = 4 in row 1; the
+	// rest is finite.
+	specials := func(rows, cols int) *Matrix {
+		m := New(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = float64(i%7) - 3
+		}
+		m.Set(0, 1, -inf)
+		m.Set(1, 4, nan)
+		return m
+	}
+	for _, sh := range []struct {
+		n, m, p     int
+		transposesA bool
+	}{
+		{2, 5, 3, false},
+		{4, 5, 3, false},
+		{2, 9, 9, true},
+		{4, 9, 9, true},
+	} {
+		if btTransposesA(sh.n, sh.m, sh.p) != sh.transposesA {
+			t.Fatalf("%dx%d by (%dx%d)ᵀ: small-batch form %v, want %v", sh.n, sh.m, sh.p, sh.m, !sh.transposesA, sh.transposesA)
+		}
+		for _, zerosInA := range []bool{true, false} {
+			a, b := zeros(sh.n, sh.m), specials(sh.p, sh.m)
+			if !zerosInA {
+				a, b = specials(sh.n, sh.m), zeros(sh.p, sh.m)
+			}
+			onEachPath(func(path string) {
+				dst := New(sh.n, sh.p)
+				MatMulBTInto(dst, a, b)
+				for i := 0; i < sh.n; i++ {
+					for j := 0; j < sh.p; j++ {
+						v := dst.At(i, j)
+						if wantNaN := zerosInA && j < 2 || !zerosInA && i < 2; wantNaN != math.IsNaN(v) || !wantNaN && (v != 0 || math.Signbit(v)) {
+							t.Fatalf("%s path, %dx%dx%d, zeros in a %v: dst[%d][%d] = %v, want NaN against ±Inf or NaN and +0 otherwise",
+								path, sh.n, sh.m, sh.p, zerosInA, i, j, v)
+						}
+					}
+				}
+			})
+		}
+	}
 }

@@ -118,8 +118,31 @@ func (m *Matrix) mustSameShape(o *Matrix, op string) {
 // Add sets m = m + o and returns m.
 func (m *Matrix) Add(o *Matrix) *Matrix {
 	m.mustSameShape(o, "Add")
-	for i, v := range o.Data {
-		m.Data[i] += v
+	kern.add(m.Data, o.Data[:len(m.Data)])
+	return m
+}
+
+// AddRowVector adds the 1×Cols v to every row of m and returns m: the
+// bias add of a linear layer.
+func (m *Matrix) AddRowVector(v *Matrix) *Matrix {
+	if v.Rows != 1 || v.Cols != m.Cols {
+		panic(fmt.Sprintf("tensor: AddRowVector %dx%d to rows of %dx%d", v.Rows, v.Cols, m.Rows, m.Cols))
+	}
+	for i := 0; i < m.Rows; i++ {
+		kern.add(m.Row(i), v.Data[:m.Cols])
+	}
+	return m
+}
+
+// AccumulateRows adds every row of src to the 1×Cols m, in row order, and
+// returns m: each element of m gains its column's terms one at a time from
+// the first row to the last, as a bias gradient accumulates them.
+func (m *Matrix) AccumulateRows(src *Matrix) *Matrix {
+	if m.Rows != 1 || m.Cols != src.Cols {
+		panic(fmt.Sprintf("tensor: AccumulateRows of %dx%d into %dx%d", src.Rows, src.Cols, m.Rows, m.Cols))
+	}
+	for i := 0; i < src.Rows; i++ {
+		kern.add(m.Data[:m.Cols], src.Row(i))
 	}
 	return m
 }
@@ -135,18 +158,13 @@ func (m *Matrix) Sub(o *Matrix) *Matrix {
 
 // Scale sets m = s*m and returns m.
 func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
+	kern.scale(m.Data, s)
 	return m
 }
 
 // AddScaled sets m = m + s*o and returns m (axpy).
 func (m *Matrix) AddScaled(s float64, o *Matrix) *Matrix {
-	m.mustSameShape(o, "AddScaled")
-	for i, v := range o.Data {
-		m.Data[i] += s * v
-	}
+	AddScaledInto(m, m, s, o)
 	return m
 }
 
@@ -204,10 +222,8 @@ func TInto(dst, src *Matrix) {
 func AddScaledInto(dst, a *Matrix, s float64, b *Matrix) {
 	dst.mustSameShape(a, "AddScaledInto")
 	dst.mustSameShape(b, "AddScaledInto")
-	bd := b.Data
-	for i, av := range a.Data {
-		dst.Data[i] = av + s*bd[i]
-	}
+	n := len(dst.Data)
+	kern.addScaled(dst.Data, a.Data[:n], s, b.Data[:n])
 }
 
 // MatMul returns a new matrix a×b. Panics if inner dimensions differ.
@@ -220,15 +236,16 @@ func MatMul(a, b *Matrix) *Matrix {
 // The matmul kernels share one contract, stated per output element: its
 // terms are accumulated over k in ascending order, from +0, each product
 // rounded before it is added (written float64(x*y), so a target that may
-// fuse multiply-adds — arm64, GOAMD64=v3 — cannot skip that rounding; the
-// AVX routine issues a separate multiply and add), and never reassociated.
+// fuse multiply-adds — arm64, riscv64 — cannot skip that rounding; the AVX
+// routines issue a separate multiply and add), and never reassociated.
 // The axpy-form kernels (MatMulInto, MatMulATInto) skip a term exactly when
 // its a operand is 0; MatMulBTInto skips nothing. Every traversal that
 // honours the contract produces the same bits, so the kernels are free to
 // block for registers and to work on four output elements per instruction:
 // they differ from the reference triple loops (into_test.go) only in how
 // many instructions, memory operations and branches each multiply-add
-// costs. All three run the same inner loop, mulAdd4.
+// costs. All three run the same inner loops: mulAdd4 four k steps at a
+// time, mulAdd one, and skinnyRows every k step of 2- or 4-wide rows.
 
 // skinnyPanel bounds the k range of one register pass of MatMulATInto's
 // skinny path (see skinny), which reads a by columns: 64 rows keep the
@@ -250,17 +267,18 @@ func MatMulInto(dst, a, b *Matrix) {
 
 // matMulRows sets dst = a×b for the a.Cols×dst.Cols row-major b in bd,
 // one dst row at a time: each row gathers its k terms four at a time
-// through axpy4 (skip set) or mulAdd4 (skip clear, no term skipped).
+// through axpy4 (skip set) or mulAdd4 (skip clear, no term skipped); a
+// skinny dst goes through skinnyRows instead.
 func matMulRows(dst, a *Matrix, bd []float64, skip bool) {
 	dst.Zero()
 	kk, m := a.Cols, dst.Cols
+	if skinny(m) {
+		skinnyRows(dst.Data, m, a.Data, kk, 1, bd[:kk*m], skip)
+		return
+	}
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		d := dst.Row(i)
-		if skip && skinny(m) {
-			skinnyRow(d, arow, 1, bd)
-			continue
-		}
 		k := 0
 		for ; k+4 <= kk; k += 4 {
 			bk := bd[k*m : (k+4)*m]
@@ -297,9 +315,7 @@ func MatMulATInto(dst, a, b *Matrix) {
 		for k := 0; k < n; k += skinnyPanel {
 			kEnd := min(k+skinnyPanel, n)
 			ak, bk := ad[k*m:kEnd*m], bd[k*p:kEnd*p]
-			for i := 0; i < m; i++ {
-				skinnyRow(dd[i*p:(i+1)*p], ak[i:], m, bk)
-			}
+			skinnyRows(dd, p, ak, 1, m, bk, true)
 		}
 		return
 	}
@@ -320,15 +336,19 @@ func MatMulATInto(dst, a, b *Matrix) {
 	}
 }
 
-// btScratch holds MatMulBTInto's transposed b between calls, so the
-// steady state allocates nothing; a Pool, because the trainer's rank
+// btScratch holds MatMulBTInto's transposed operands between calls, so
+// the steady state allocates nothing; a Pool, because the trainer's rank
 // goroutines call the kernel concurrently.
 var btScratch = NewPool()
 
 // MatMulBTInto computes dst = a×bᵀ. a is n×m, b is p×m, dst must be n×p.
-// It transposes b into pooled scratch and runs MatMulInto's row loop with
-// no term skipped: each output is the same k-ascending sum from +0 that a
-// dot product of a row of a with a row of b gives.
+// Each output is the same k-ascending sum from +0 that a dot product of a
+// row of a with a row of b gives, with no term skipped, by one of two
+// traversals. In general it transposes b into pooled scratch and runs
+// MatMulInto's row loop. When a has 2 or 4 rows and transposing a and the
+// result moves fewer elements than transposing b (a small batch against a
+// weight matrix), it computes dstᵀ = b×aᵀ instead, every dstᵀ row a
+// skinny row, and transposes that back.
 func MatMulBTInto(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulBT inner mismatch %dx%d * %dx%d^T", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -336,11 +356,27 @@ func MatMulBTInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulBTInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	bt := btScratch.GetUninit(b.Cols, b.Rows)
+	n, m, p := a.Rows, a.Cols, b.Rows
+	if btTransposesA(n, m, p) {
+		at := btScratch.GetUninit(m, n)
+		dt := btScratch.GetUninit(p, n)
+		TInto(at, a)
+		matMulRows(dt, b, at.Data, false)
+		TInto(dst, dt)
+		btScratch.Put(at)
+		btScratch.Put(dt)
+		return
+	}
+	bt := btScratch.GetUninit(m, p)
 	TInto(bt, b)
 	matMulRows(dst, a, bt.Data, false)
 	btScratch.Put(bt)
 }
+
+// btTransposesA reports whether MatMulBTInto computes an n×m by (p×m)ᵀ
+// product as the transpose of b×aᵀ: when a has 2 or 4 rows and the two
+// transposes that takes move fewer elements than transposing b.
+func btTransposesA(n, m, p int) bool { return skinny(n) && n*(m+p) < p*m }
 
 // axpy is one k step of an axpy-form kernel: it adds av·b to d element by
 // element, or nothing at all when av is 0 — the zero skip, which keeps
@@ -353,10 +389,7 @@ func axpy(d []float64, av float64, b []float64) {
 
 // mulAdd is axpy without the zero skip: d[j] += av·b[j].
 func mulAdd(d []float64, av float64, b []float64) {
-	b = b[:len(d)]
-	for j := range d {
-		d[j] += float64(av * b[j])
-	}
+	kern.addScaled(d, d, av, b[:len(d)])
 }
 
 // axpy4 is four consecutive k steps against the four len(d)-long rows
@@ -378,74 +411,44 @@ func axpy4(d []float64, a0, a1, a2, a3 float64, b []float64) {
 		axpy(d, a3, b[3*p:][:p])
 		return
 	}
-	mulAdd4(d, a0, a1, a2, a3, b[:4*len(d)])
+	mulAdd4(d, a0, a1, a2, a3, b)
 }
 
 // mulAdd4 is four consecutive k steps with no zero skip against the four
 // len(d)-long rows packed in b (len(b) must be 4·len(d)): d[j] += a0·b0[j],
 // then a1·b1[j], a2·b2[j] and a3·b3[j], each d element loaded and stored
-// once for the four multiply-adds, which still happen in k order. It is
-// mulAdd4Go, or on amd64 with AVX the assembly routine doing the same per
-// element four elements at a time; tests set it to force the portable loop.
-var mulAdd4 = mulAdd4Go
+// once for the four multiply-adds, which still happen in k order.
+func mulAdd4(d []float64, a0, a1, a2, a3 float64, b []float64) {
+	kern.mulAdd4(d, a0, a1, a2, a3, b[:4*len(d)])
+}
 
-// mulAdd4Go is the portable mulAdd4.
-func mulAdd4Go(d []float64, a0, a1, a2, a3 float64, b []float64) {
-	p := len(d)
-	// Re-sliced to len(d) so the loop carries no bounds checks.
-	b0, b1, b2, b3 := b[:p], b[p:][:p], b[2*p:][:p], b[3*p:][:p]
-	for j := range d {
-		v := d[j]
-		v += float64(a0 * b0[j])
-		v += float64(a1 * b1[j])
-		v += float64(a2 * b2[j])
-		v += float64(a3 * b3[j])
-		d[j] = v
+// skinnyRows runs every k step of a matmul for each w-wide row of d
+// (see routines.skinnyRows4): the rows four at a time through
+// kern.skinnyRows4, the last len(d)/w % 4 one at a time.
+func skinnyRows(d []float64, w int, a []float64, rowStride, stride int, b []float64, skip bool) {
+	rows, steps := len(d)/w, len(b)/w
+	if rows == 0 || steps == 0 {
+		return
+	}
+	_ = a[(rows-1)*rowStride+(steps-1)*stride] // the last operand read
+	q := rows &^ 3
+	kern.skinnyRows4(d[:q*w], w, a, rowStride, stride, b, skip)
+	for r := q; r < rows; r++ {
+		skinnyRow(d[r*w:(r+1)*w], a[r*rowStride:], stride, b, skip)
 	}
 }
 
-// skinny reports whether a dst of cols columns takes the skinnyRow path:
+// skinny reports whether a dst of cols columns takes the skinnyRows path:
 // the widths of the low-rank factors the repo actually runs. Odd widths
 // and everything from five columns on measured no better there than on the
 // general path, so they stay on it.
 func skinny(cols int) bool { return cols == 2 || cols == 4 }
 
-// skinnyRow is every k step of an axpy-form kernel for one skinny dst row
-// d, which it carries in registers from the first term to the last:
-// d[j] += a[k·stride]·b[k·len(d)+j] for k ascending, skipping a zero a
-// operand like axpy. stride is 1 when a is a row of the a matrix and its
-// column count when a is one of its columns.
-func skinnyRow(d, a []float64, stride int, b []float64) {
-	if len(d) == 2 {
-		s0, s1 := d[0], d[1]
-		for ai, k := 0, 0; k+2 <= len(b); ai, k = ai+stride, k+2 {
-			if av := a[ai]; av != 0 {
-				bk := b[k : k+2 : k+2]
-				s0 += float64(av * bk[0])
-				s1 += float64(av * bk[1])
-			}
-		}
-		d[0], d[1] = s0, s1
-		return
-	}
-	s0, s1, s2, s3 := d[0], d[1], d[2], d[3]
-	for ai, k := 0, 0; k+4 <= len(b); ai, k = ai+stride, k+4 {
-		if av := a[ai]; av != 0 {
-			bk := b[k : k+4 : k+4]
-			s0 += float64(av * bk[0])
-			s1 += float64(av * bk[1])
-			s2 += float64(av * bk[2])
-			s3 += float64(av * bk[3])
-		}
-	}
-	d[0], d[1], d[2], d[3] = s0, s1, s2, s3
-}
-
 // FrobeniusNorm returns sqrt(Σ x²).
 func (m *Matrix) FrobeniusNorm() float64 {
 	var s float64
 	for _, v := range m.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
@@ -509,7 +512,7 @@ func Dot(a, b []float64) float64 {
 	}
 	var s float64
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }
@@ -518,7 +521,7 @@ func Dot(a, b []float64) float64 {
 func Norm2(v []float64) float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }

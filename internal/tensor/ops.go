@@ -25,7 +25,10 @@ func RandNInto(rng *rand.Rand, dst *Matrix, std float64) {
 func RandUniform(rng *rand.Rand, rows, cols int, a float64) *Matrix {
 	m := New(rows, cols)
 	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * a
+		// Rounded on its own, so the scaling inside Float64 cannot fuse
+		// into the doubling, nor the doubling into the subtraction.
+		u := float64(rng.Float64())
+		m.Data[i] = (float64(u*2) - 1) * a
 	}
 	return m
 }
@@ -52,16 +55,16 @@ func GramSchmidt(m *Matrix) {
 		for k := 0; k < j; k++ {
 			var dot float64
 			for i := 0; i < rows; i++ {
-				dot += m.Data[i*cols+j] * m.Data[i*cols+k]
+				dot += float64(m.Data[i*cols+j] * m.Data[i*cols+k])
 			}
 			for i := 0; i < rows; i++ {
-				m.Data[i*cols+j] -= dot * m.Data[i*cols+k]
+				m.Data[i*cols+j] -= float64(dot * m.Data[i*cols+k])
 			}
 		}
 		var norm float64
 		for i := 0; i < rows; i++ {
 			v := m.Data[i*cols+j]
-			norm += v * v
+			norm += float64(v * v)
 		}
 		norm = math.Sqrt(norm)
 		if norm < 1e-12 {
@@ -129,7 +132,7 @@ const geluC = 0.7978845608028654
 // derivative follows from (x, t) alone (GELUGradFromTanh), so a forward
 // pass that keeps t spares the backward pass the second tanh.
 func GELUTanh(x float64) float64 {
-	return math.Tanh(geluC * (x + 0.044715*x*x*x))
+	return math.Tanh(geluC * (x + float64(0.044715*x*x*x)))
 }
 
 // GELU applies the tanh-approximation GELU activation in place, matching
@@ -148,8 +151,8 @@ func GELUGrad(x float64) float64 {
 // GELUGradFromTanh returns dGELU/dx at x given t = GELUTanh(x) — the same
 // operations in the same order as GELUGrad, so the same bits.
 func GELUGradFromTanh(x, t float64) float64 {
-	dt := (1 - t*t) * geluC * (1 + 3*0.044715*x*x)
-	return 0.5*(1+t) + 0.5*x*dt
+	dt := (1 - float64(t*t)) * geluC * (1 + float64(3*0.044715*x*x))
+	return float64(0.5*(1+t)) + float64(0.5*x*dt)
 }
 
 // ArgmaxRow returns the index of the largest value in row.
@@ -175,6 +178,27 @@ func ClipInPlace(m *Matrix, c float64) {
 	}
 }
 
+// SGDStep applies one momentum-SGD update to p from its gradient g, which
+// it leaves unchanged. Element by element: e = g clipped to [−clip, clip]
+// when clip > 0 (e > clip gives clip, else e < −clip gives −clip, so a NaN
+// passes); then, when vel is not nil, e = vel·mu + e, which becomes the
+// new vel; then p += s·e. Each product is rounded on its own before it is
+// added. s is the negated learning rate.
+func SGDStep(p, g, vel *Matrix, s, mu, clip float64) {
+	p.mustSameShape(g, "SGDStep")
+	n := len(p.Data)
+	var v []float64
+	if vel != nil {
+		p.mustSameShape(vel, "SGDStep")
+		v = vel.Data[:n]
+	}
+	lo, hi := math.Inf(-1), math.Inf(1)
+	if clip > 0 {
+		lo, hi = -clip, clip
+	}
+	kern.sgdStep(p.Data, g.Data[:n], v, s, mu, lo, hi)
+}
+
 // Mean returns the arithmetic mean of v, or 0 for an empty slice.
 func Mean(v []float64) float64 {
 	if len(v) == 0 {
@@ -196,7 +220,7 @@ func Variance(v []float64) float64 {
 	var s float64
 	for _, x := range v {
 		d := x - mu
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(v))
 }

@@ -81,7 +81,7 @@ func SpAxpyInto(dst *Matrix, alpha float64, s *Sparse) {
 	s.mustMatchShape(dst, "SpAxpyInto")
 	d := dst.Data
 	for i, fi := range s.Indices {
-		d[fi] += alpha * s.Values[i]
+		d[fi] += float64(alpha * s.Values[i])
 	}
 }
 
