@@ -128,7 +128,7 @@ func (g GPTSpec) TotalParams() int64 {
 // layer: 2 FLOPs per parameter-multiply plus the attention score terms
 // (2·2·S·H per token for QKᵀ and attn·V).
 func (g GPTSpec) FwdFLOPsPerLayerPerToken() float64 {
-	return 2*float64(g.ParamsPerLayer()) + 4*float64(g.SeqLen)*float64(g.Hidden)
+	return float64(2*float64(g.ParamsPerLayer())) + float64(4*float64(g.SeqLen)*float64(g.Hidden))
 }
 
 // ActivationBytes returns the size of the inter-stage boundary tensor for

@@ -229,7 +229,7 @@ func (c Config) CompressedStages(p int) []bool {
 	if !c.DPCompress() {
 		return out
 	}
-	n := int(c.SelectiveStageFraction*float64(p) + 0.5)
+	n := int(float64(c.SelectiveStageFraction*float64(p)) + 0.5)
 	if n > p {
 		n = p
 	}

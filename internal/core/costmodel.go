@@ -19,7 +19,7 @@ func AllReduceVolumeFactor(ranks int) float64 {
 // ring all-reduce (2(D−1)/D) and a 2-way all-reduce (1).
 func EmbSyncVolumeFactor(dataParallel int) float64 {
 	d := float64(dataParallel)
-	return (3*d - 2) / d
+	return (float64(3*d) - 2) / d
 }
 
 // EmbSyncFusedVolumeFactor returns the Eq. 16 fused cost factor:
@@ -75,8 +75,8 @@ func DefaultCompressionCostModel() CompressionCostModel {
 // CompressTime returns the modeled time to compress an n×m matrix at rank r.
 func (c CompressionCostModel) CompressTime(n, m, r int) float64 {
 	fn, fm, fr := float64(n), float64(m), float64(r)
-	matmul := 2*fn*fm*fr + 2*fn*fm*fr // M·Q and Mᵀ·P
-	ortho := 2 * fn * fr * fr * c.OrthoPenalty
+	matmul := 2 * float64(2*fn*fm*fr) // M·Q and Mᵀ·P, 2·n·m·r FLOPs each
+	ortho := float64(2 * fn * fr * fr * c.OrthoPenalty)
 	return c.SetupSec + (matmul+ortho)/c.GPUFLOPs
 }
 
@@ -93,7 +93,7 @@ func (c CompressionCostModel) DecompressTime(n, m, r int) float64 {
 // orthogonalization term, which is why sparse codecs price orders of
 // magnitude cheaper at equal element budgets.
 func (c CompressionCostModel) SparseCompressTime(n, m, k int) float64 {
-	return c.SetupSec + (float64(n)*float64(m)+2*float64(k))/c.GPUFLOPs
+	return c.SetupSec + (float64(float64(n)*float64(m))+float64(2*float64(k)))/c.GPUFLOPs
 }
 
 // SparseDecompressTime returns the modeled time to scatter a k-element

@@ -199,13 +199,7 @@ func (b *Block) Forward(x *tensor.Matrix) *tensor.Matrix {
 	b.scr.put(z)
 	c := blockCache{pre: n, tanh: b.scr.get(n.Rows, n.Cols)}
 	out := b.scr.get(x.Rows, x.Cols)
-	for i, v := range n.Data {
-		t := tensor.GELUTanh(v)
-		c.tanh.Data[i] = t
-		// The activation is rounded on its own before the residual add, as
-		// when it was stored and added in a second pass.
-		out.Data[i] = x.Data[i] + float64(0.5*v*(1+t))
-	}
+	tensor.GELUForwardInto(out, c.tanh, x, n)
 	b.queue.push(c)
 	return out
 }
@@ -219,9 +213,7 @@ func (b *Block) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	}
 	c := b.queue.pop()
 	dAct := b.scr.get(dy.Rows, dy.Cols)
-	for i, v := range c.pre.Data {
-		dAct.Data[i] = dy.Data[i] * tensor.GELUGradFromTanh(v, c.tanh.Data[i])
-	}
+	tensor.GELUBackwardInto(dAct, dy, c.pre, c.tanh)
 	b.scr.put(c.pre)
 	b.scr.put(c.tanh)
 	dz := b.LN.Backward(dAct)

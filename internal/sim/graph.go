@@ -67,16 +67,16 @@ func computeDurations(s Scenario, pl *plan.Plan) durations {
 	d.fwd = make([]float64, p)
 	d.bwd = make([]float64, p)
 	for st := 0; st < p; st++ {
-		flops := float64(s.LayersPerStage()) * s.Spec.FwdFLOPsPerLayerPerToken() * tokens
+		flops := float64(float64(s.LayersPerStage()) * s.Spec.FwdFLOPsPerLayerPerToken() * tokens)
 		if st == p-1 {
 			// Output head: logits = h·Embᵀ, 2·tokens·H·V FLOPs.
-			flops += 2 * tokens * float64(s.Spec.Hidden) * float64(s.Spec.VocabSize)
+			flops += float64(2 * tokens * float64(s.Spec.Hidden) * float64(s.Spec.VocabSize))
 		}
-		tp := float64(s.LayersPerStage()) * 2 * tpAllReduce
+		tp := float64(float64(s.LayersPerStage()) * 2 * tpAllReduce)
 		d.fwd[st] = flops/eff + tp
 		// Backward is ≈2× forward compute, with its own pair of TP
 		// all-reduces per layer.
-		d.bwd[st] = 2*flops/eff + 2*tp
+		d.bwd[st] = 2*flops/eff + float64(2*tp)
 	}
 
 	// Inter-stage p2p transfers.
@@ -117,7 +117,7 @@ func computeDurations(s Scenario, pl *plan.Plan) durations {
 			// are negligible next to PowerSGD's orthogonalization (§9.6),
 			// so no codec term.
 			c := compress.MustBuild(pl.CBSpec(0, 1))
-			wire = int64(float64(n) * float64(m) * 2 / c.Ratio(n, m))
+			wire = int64(float64(float64(n)*float64(m)) * 2 / c.Ratio(n, m))
 			d.sendBwdCodec = 0
 		}
 		d.sendBwdCmpXfer = p2pLink.TransferTime(wire)

@@ -59,7 +59,7 @@ func (l Link) AllReduceTime(bytes int64, ranks int) float64 {
 	}
 	r := float64(ranks)
 	vol := 2 * float64(bytes) * (r - 1) / r
-	return float64(AllReduceSteps(ranks))*l.LatencySec + vol*8/l.BandwidthBps
+	return float64(float64(AllReduceSteps(ranks))*l.LatencySec) + vol*8/l.BandwidthBps
 }
 
 // TimeForVolume prices an already-measured per-rank traffic profile —
@@ -72,7 +72,7 @@ func (l Link) TimeForVolume(bytes int64, steps int) float64 {
 	if bytes <= 0 && steps <= 0 {
 		return 0
 	}
-	return float64(steps)*l.LatencySec + float64(bytes*8)/l.BandwidthBps
+	return float64(float64(steps)*l.LatencySec) + float64(bytes*8)/l.BandwidthBps
 }
 
 // EmbSyncBaselineTime returns the §6 baseline embedding cost C_Emb =

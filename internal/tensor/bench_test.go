@@ -112,6 +112,37 @@ func BenchmarkElementwise(b *testing.B) {
 	}
 }
 
+// BenchmarkGELU times a block's activation forward (GELUForwardInto: the
+// tanh, the activation and the residual add) and backward
+// (GELUBackwardInto) at the pipeline grids' 16×48 and the DP-heavy grid's
+// 4×32 micro-batch, in ns per element on each path.
+func BenchmarkGELU(b *testing.B) {
+	for _, sh := range [][2]int{{16, 48}, {4, 32}} {
+		rng := rand.New(rand.NewSource(1))
+		r, c := sh[0], sh[1]
+		v, x, dy := RandN(rng, r, c, 1), RandN(rng, r, c, 1), RandN(rng, r, c, 1)
+		out, t, d := New(r, c), New(r, c), New(r, c)
+		GELUForwardInto(out, t, x, v)
+		ops := []struct {
+			name string
+			fn   func()
+		}{
+			{"Forward", func() { GELUForwardInto(out, t, x, v) }},
+			{"Backward", func() { GELUBackwardInto(d, dy, v, t) }},
+		}
+		for _, op := range ops {
+			b.Run(fmt.Sprintf("%s/%dx%d", op.name, r, c), func(b *testing.B) {
+				benchPaths(b, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						op.fn()
+					}
+					reportPerElement(b, r*c)
+				})
+			})
+		}
+	}
+}
+
 // BenchmarkSGDStep times one momentum-SGD step with clipping on a 48×48
 // weight, in ns per element on each path.
 func BenchmarkSGDStep(b *testing.B) {

@@ -6,7 +6,7 @@ package tensor
 // and 2).
 func hasAVX() bool {
 	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx := cpuid1ECX(); ecx&osxsave == 0 || ecx&avx == 0 {
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
 		return false
 	}
 	return xgetbv0()&6 == 6
@@ -19,11 +19,24 @@ func hasAVX() bool {
 // such hosts and another elsewhere.
 func HostFMA() bool {
 	const fma = 1 << 12
-	return hasAVX() && cpuid1ECX()&fma != 0
+	_, _, ecx, _ := cpuid(1, 0)
+	return hasAVX() && ecx&fma != 0
 }
 
-// cpuid1ECX returns ECX of CPUID leaf 1.
-func cpuid1ECX() uint32
+// hasAVX2 reports whether AVX is usable and CPUID leaf 7 (sub-leaf 0)
+// sets AVX2 (EBX bit 5), which the 256-bit integer instructions need.
+func hasAVX2() bool {
+	const avx2 = 1 << 5
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return hasAVX() && ebx&avx2 != 0
+}
+
+// cpuid returns the registers CPUID leaves for leaf (EAX) and sub-leaf
+// (ECX).
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv0 returns the low half of XCR0.
 func xgetbv0() uint32

@@ -92,7 +92,8 @@ func bitDiff(got, want *Matrix) int {
 }
 
 // onEachPath runs f once on the routines that init selected (the AVX
-// routines on an amd64 CPU that has it) and once on the portable loops,
+// routines on an amd64 CPU that has it, the AVX GELU pair only where AVX2
+// and FMA are there too) and once on the portable loops,
 // restoring the selection afterwards, also when f fails the test.
 func onEachPath(f func(path string)) {
 	selected := kern

@@ -121,9 +121,6 @@ func LogSumExpRow(row []float64) float64 {
 	return mx + math.Log(s)
 }
 
-// Tanh applies tanh element-wise in place.
-func Tanh(m *Matrix) *Matrix { return m.Apply(math.Tanh) }
-
 // geluC is sqrt(2/pi), the scale inside the tanh-approximation GELU.
 const geluC = 0.7978845608028654
 
@@ -153,6 +150,29 @@ func GELUGrad(x float64) float64 {
 func GELUGradFromTanh(x, t float64) float64 {
 	dt := (1 - float64(t*t)) * geluC * (1 + float64(3*0.044715*x*x))
 	return float64(0.5*(1+t)) + float64(0.5*x*dt)
+}
+
+// GELUForwardInto runs a residual block's activation: element by element
+// t = GELUTanh(v), then out = x + 0.5·v·(1+t), the activation rounded on
+// its own before the residual add. t keeps the tanh for GELUBackwardInto.
+// All four have one shape; out may be x.
+func GELUForwardInto(out, t, x, v *Matrix) {
+	out.mustSameShape(t, "GELUForwardInto")
+	out.mustSameShape(x, "GELUForwardInto")
+	out.mustSameShape(v, "GELUForwardInto")
+	n := len(out.Data)
+	kern.geluForward(out.Data, t.Data[:n], x.Data[:n], v.Data[:n])
+}
+
+// GELUBackwardInto sets d = dy·GELUGradFromTanh(v, t) element by element,
+// from the t that GELUForwardInto kept for v. All four have one shape; d
+// may be dy.
+func GELUBackwardInto(d, dy, v, t *Matrix) {
+	d.mustSameShape(dy, "GELUBackwardInto")
+	d.mustSameShape(v, "GELUBackwardInto")
+	d.mustSameShape(t, "GELUBackwardInto")
+	n := len(d.Data)
+	kern.geluBackward(d.Data, dy.Data[:n], v.Data[:n], t.Data[:n])
 }
 
 // ArgmaxRow returns the index of the largest value in row.

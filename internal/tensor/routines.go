@@ -8,7 +8,9 @@ package tensor
 // portable Go loops below, or on amd64 with AVX assembly routines that do
 // the same per element four (or two) elements per instruction, a separate
 // VMULPD then VADDPD for every multiply-add. Tests swap kern for portable
-// to run every oracle on both.
+// to run every oracle on both. The GELU pair is the one exception: its
+// tanh goes through math.Exp, which fuses on a CPU with FMA, so its AVX
+// body fuses where that Exp does (routines_amd64.go).
 type routines struct {
 	// mulAdd4: d[j] += a0·b0[j], then a1·b1[j], a2·b2[j] and a3·b3[j],
 	// against the four len(d)-long rows packed in b (len(b) = 4·len(d)).
@@ -28,16 +30,23 @@ type routines struct {
 	// gives lo); then, when len(vel) > 0, e = vel[j]·mu + e, stored into
 	// vel[j]; then p[j] += s·e.
 	sgdStep func(p, g, vel []float64, s, mu, lo, hi float64)
+	// geluForward: t[j] = GELUTanh(v[j]), then out[j] = x[j] +
+	// 0.5·v[j]·(1+t[j]), the activation rounded before the add.
+	geluForward func(out, t, x, v []float64)
+	// geluBackward: d[j] = dy[j]·GELUGradFromTanh(v[j], t[j]).
+	geluBackward func(d, dy, v, t []float64)
 }
 
 // portable is the Go body of every routine.
 var portable = routines{
-	mulAdd4:     mulAdd4Go,
-	addScaled:   addScaledGo,
-	add:         addGo,
-	scale:       scaleGo,
-	skinnyRows4: skinnyRows4Go,
-	sgdStep:     sgdStepGo,
+	mulAdd4:      mulAdd4Go,
+	addScaled:    addScaledGo,
+	add:          addGo,
+	scale:        scaleGo,
+	skinnyRows4:  skinnyRows4Go,
+	sgdStep:      sgdStepGo,
+	geluForward:  geluForwardGo,
+	geluBackward: geluBackwardGo,
 }
 
 // kern is the set of routines the package runs, chosen once at init.
@@ -130,5 +139,21 @@ func sgdStepGo(p, g, vel []float64, s, mu, lo, hi float64) {
 			vel[j] = e
 		}
 		p[j] += float64(s * e)
+	}
+}
+
+func geluForwardGo(out, t, x, v []float64) {
+	t, x, v = t[:len(out)], x[:len(out)], v[:len(out)]
+	for j, vj := range v {
+		tj := GELUTanh(vj)
+		t[j] = tj
+		out[j] = x[j] + float64(0.5*vj*(1+tj))
+	}
+}
+
+func geluBackwardGo(d, dy, v, t []float64) {
+	dy, v, t = dy[:len(d)], v[:len(d)], t[:len(d)]
+	for j, vj := range v {
+		d[j] = dy[j] * GELUGradFromTanh(vj, t[j])
 	}
 }

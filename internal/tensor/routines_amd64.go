@@ -5,24 +5,43 @@
 
 package tensor
 
-// avx is every routine as an AVX assembly routine. Each does per element
-// exactly the operations of its Go body, in the same order, four elements
-// per YMM instruction (two per XMM one for 2-wide skinny rows) with a
-// scalar tail: a multiply (VMULPD) and a separate add (VADDPD) per term,
-// never a fused VFMADD, so every element gets the bits the Go body gives it.
+// avx is every routine but the GELU pair as an AVX assembly routine. Each
+// does per element exactly the operations of its Go body, in the same
+// order, four elements per YMM instruction (two per XMM one for 2-wide
+// skinny rows) with a scalar tail: a multiply (VMULPD) and a separate add
+// (VADDPD) per term, never a fused VFMADD, so every element gets the bits
+// the Go body gives it. The AVX GELU pair (routinesFor) is the one place
+// that fuses: exactly where math.Exp's amd64 assembly does, and nowhere
+// else, since its Go body's bits are math.Tanh's.
 var avx = routines{
-	mulAdd4:     mulAdd4AVX,
-	addScaled:   addScaledAVX,
-	add:         addAVX,
-	scale:       scaleAVX,
-	skinnyRows4: skinnyRows4AVX,
-	sgdStep:     sgdStepAVX,
+	mulAdd4:      mulAdd4AVX,
+	addScaled:    addScaledAVX,
+	add:          addAVX,
+	scale:        scaleAVX,
+	skinnyRows4:  skinnyRows4AVX,
+	sgdStep:      sgdStepAVX,
+	geluForward:  geluForwardGo,
+	geluBackward: geluBackwardGo,
 }
 
 func init() {
-	if hasAVX() {
-		kern = avx
+	kern = routinesFor(hasAVX(), HostFMA() && hasAVX2())
+}
+
+// routinesFor returns the routines for a CPU with AVX (avxOK) and with AVX2
+// and FMA (fusedExp). The AVX GELU pair follows math.Exp's fused path, the
+// one Exp takes exactly when HostFMA holds, and needs AVX2 for its 256-bit
+// integer steps; every other host keeps the Go GELU, which calls math.Tanh
+// itself. Either way a host gets the bits math.Tanh gives on it.
+func routinesFor(avxOK, fusedExp bool) routines {
+	if !avxOK {
+		return portable
 	}
+	k := avx
+	if fusedExp {
+		k.geluForward, k.geluBackward = geluForwardAVX, geluBackwardAVX
+	}
+	return k
 }
 
 //go:noescape
@@ -53,3 +72,12 @@ func skinnyRows4AVX(d []float64, w int, a []float64, rowStride, stride int, b []
 //
 //go:noescape
 func sgdStepAVX(p, g, vel []float64, s, mu, lo, hi float64)
+
+// geluForwardAVX runs math.tanh's three regimes on every lane and blends
+// them, its Exp a copy of math.Exp's fused amd64 path (gelu_amd64.s).
+//
+//go:noescape
+func geluForwardAVX(out, t, x, v []float64)
+
+//go:noescape
+func geluBackwardAVX(d, dy, v, t []float64)
